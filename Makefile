@@ -2,12 +2,13 @@
 #
 #   make build             compile everything
 #   make test              tier-1: full test suite
-#   make verify            tier-2: go vet + metrics lint + concurrency
+#   make verify            tier-2: gofmt + go vet + metrics lint + concurrency
 #                          race smoke + journal crash-recovery under -race
 #                          + short fuzz pass + race-detector run over the
 #                          whole tree (the concurrent control plane —
 #                          transport, signalling, bb — plus the bench
 #                          world setup all run under -race)
+#   make fmt-check         fails when gofmt -l lists any file
 #   make race-concurrency  fast -race smoke over the multiplexed-client
 #                          and broker concurrency tests only
 #   make race-recovery     journal, crash-replay and broker recovery
@@ -45,8 +46,10 @@
 #                          allocation-free (run without -race; the gates
 #                          skip under it)
 #   make bench             benchmark harness
-#   make bench-codec       binary vs JSON codec micro-benchmarks with
-#                          -benchmem (the encode arm the alloc gate pins)
+#   make bench-codec       binary codec vs encoding/json on the same
+#                          message, with -benchmem (the JSON arms are a
+#                          test-local baseline; the binary encode arm is
+#                          the one the alloc gate pins)
 #   make bench-concurrency reserve throughput vs parallel requesters
 #                          (the numbers recorded in BENCH_concurrency.json)
 #   make bench-subflow     sub-flow admission throughput, per-RPC vs
@@ -70,7 +73,7 @@
 
 GO ?= go
 
-.PHONY: build test verify alloc-gate bench bench-codec bench-concurrency bench-subflow bench-obs bench-replication bench-fleet bench-route metrics-lint race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
+.PHONY: build test verify fmt-check alloc-gate bench bench-codec bench-concurrency bench-subflow bench-obs bench-replication bench-fleet bench-route metrics-lint race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
 
 build:
 	$(GO) build ./...
@@ -78,9 +81,12 @@ build:
 test: build
 	$(GO) test ./...
 
-verify: build metrics-lint alloc-gate race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
+verify: build fmt-check metrics-lint alloc-gate race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 alloc-gate:
 	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,5 +241,32 @@ func TestLoadConfigValidation(t *testing.T) {
 	}
 	if _, err := LoadConfig(path); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+	// Unknown keys — a typo, or a setting that no longer exists — are
+	// rejected by name; the same config without them loads.
+	complete := `{"domain":"A","listen":"x","key_file":"k","cert_file":"c"`
+	if err := os.WriteFile(path, []byte(complete+"}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); err != nil {
+		t.Fatalf("complete config rejected: %v", err)
+	}
+	for _, c := range []struct{ extra, key string }{
+		{`,"fsync_polcy":"always"`, "fsync_polcy"},
+		{`,"wire":"json"`, "wire"},
+		{`,"peers":[{"domain":"B","adr":"y"}]`, "adr"},
+	} {
+		if err := os.WriteFile(path, []byte(complete+c.extra+"}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), `"`+c.key+`"`) {
+			t.Errorf("config with %s: err = %v, want an error naming %q", c.extra, err, c.key)
+		}
+	}
+	if err := os.WriteFile(path, []byte(complete+`} {}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); err == nil {
+		t.Fatal("trailing data after the config object accepted")
 	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -13,7 +15,6 @@ import (
 	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
 	"e2eqos/internal/policysrv"
-	"e2eqos/internal/signalling"
 	"e2eqos/internal/sla"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/transport"
@@ -79,11 +80,6 @@ type FileConfig struct {
 	// or "never" (OS write-through only). Overridable with
 	// -fsync-policy.
 	FsyncPolicy string `json:"fsync_policy,omitempty"`
-	// Wire selects the encoding of outbound signalling calls: "binary"
-	// (the default) or "json" (debug/interop). Peers always answer in
-	// the caller's encoding, so this never needs to match the peer's
-	// own setting. Overridable with -wire.
-	Wire string `json:"wire,omitempty"`
 
 	// ReplicaID and ReplicaPeers turn the broker into one member of a
 	// replicated group: ReplicaPeers maps every replica id (including
@@ -153,15 +149,21 @@ type PeerConfig struct {
 	SLARate string `json:"sla_rate,omitempty"`
 }
 
-// LoadConfig reads and validates a config file.
+// LoadConfig reads and validates a config file. Unknown keys are
+// errors, so a misspelt or retired setting is not silently ignored.
 func LoadConfig(path string) (*FileConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bbd: %w", err)
 	}
 	var cfg FileConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("bbd: parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("bbd: parsing %s: trailing data after the config object", path)
 	}
 	if cfg.Domain == "" || cfg.Listen == "" || cfg.KeyFile == "" || cfg.CertFile == "" {
 		return nil, fmt.Errorf("bbd: config must set domain, listen, key_file, cert_file")
@@ -337,10 +339,6 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
 	}
-	wireMode, err := signalling.ParseWireMode(cfg.Wire)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
-	}
 
 	var recorder *obs.Recorder
 	if cfg.EventsDir != "" {
@@ -373,7 +371,6 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		Metrics:          metrics,
 		StateDir:         cfg.StateDir,
 		Fsync:            fsync,
-		Wire:             wireMode,
 		Recorder:         recorder,
 		SampleRate:       cfg.SampleRate,
 	}

@@ -9,8 +9,8 @@ import (
 	"e2eqos/internal/wire"
 )
 
-// Binary codecs for the broker's journal records and rotated snapshot
-// (DESIGN.md §6.6). Settled outcomes nest as complete signalling
+// Binary codecs for the broker's journal records, saga compensation
+// arguments and rotated snapshot (DESIGN.md §6.6). Settled outcomes nest as complete signalling
 // frames (bytes fields holding Message.AppendBinary output), so the
 // replay cache round-trips through the same codec the wire uses.
 
@@ -274,10 +274,53 @@ func (r *tunnelBatchSnap) DecodeBinary(data []byte) error {
 	return d.Err()
 }
 
+// cancelComp: 1=peer 2=key.
+func (c cancelComp) AppendBinary(buf []byte) []byte {
+	buf = wire.AppendString(buf, 1, string(c.Peer))
+	return wire.AppendString(buf, 2, c.Key)
+}
+
+func (c *cancelComp) DecodeBinary(data []byte) error {
+	d := wire.Dec{Buf: data}
+	for d.More() {
+		f, wt := d.Tag()
+		switch {
+		case f == 1 && wt == wire.TBytes:
+			c.Peer = identity.DN(d.String())
+		case f == 2 && wt == wire.TBytes:
+			c.Key = d.String()
+		default:
+			d.Skip(wt)
+		}
+	}
+	return d.Err()
+}
+
+// releaseComp: 1=handle 2=key.
+func (r releaseComp) AppendBinary(buf []byte) []byte {
+	buf = wire.AppendString(buf, 1, r.Handle)
+	return wire.AppendString(buf, 2, r.Key)
+}
+
+func (r *releaseComp) DecodeBinary(data []byte) error {
+	d := wire.Dec{Buf: data}
+	for d.More() {
+		f, wt := d.Tag()
+		switch {
+		case f == 1 && wt == wire.TBytes:
+			r.Handle = d.String()
+		case f == 2 && wt == wire.TBytes:
+			r.Key = d.String()
+		default:
+			d.Skip(wt)
+		}
+	}
+	return d.Err()
+}
+
 // Broker snapshot binary layout: bbSnapMagic, bbSnapVersion, then
 // 1=table(the resv snapshot bytes) 2=rars 3=tunnels 4=tunnel_batches
-// 5=epoch 6=sagas(the coordinator's JSON snapshot). recoverState still
-// accepts the JSON form written before the binary codec existed.
+// 5=epoch 6=sagas(the coordinator's snapshot bytes).
 const (
 	bbSnapMagic   = 0xB3
 	bbSnapVersion = 1

@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -35,7 +34,7 @@ type tunnelRegistry struct {
 // batchState is one batch's replay-cache entry.
 type batchState struct {
 	// done is closed once the batch has been applied and its outcome
-	// recorded; duplicates arriving mid-flight wait on it.
+	// journaled; duplicates arriving mid-flight wait on it.
 	done chan struct{}
 	// outcome is replayed verbatim on retransmission.
 	outcome *signalling.Message
@@ -65,12 +64,12 @@ func (t *tunnelRegistry) begin(rarID, batchID string, epoch int64) (st *batchSta
 	return st, false
 }
 
-// settle records a batch outcome and releases any waiting duplicates.
-func (t *tunnelRegistry) settle(st *batchState, outcome *signalling.Message) {
+// record stores a batch outcome, making the entry part of every
+// snapshot cut from now on. Duplicates keep waiting on done.
+func (t *tunnelRegistry) record(st *batchState, outcome *signalling.Message) {
 	t.mu.Lock()
 	st.outcome = outcome
 	t.mu.Unlock()
-	close(st.done)
 }
 
 // outcomeOf reads a settled outcome (nil while in flight).
@@ -124,8 +123,9 @@ func (t *tunnelRegistry) resetBatches(snaps []tunnelBatchSnap) {
 }
 
 // settledBatches snapshots the replay cache for journal rotation,
-// sorted for deterministic bytes. In-flight entries are skipped: they
-// journal themselves when they settle, after the rotation completes.
+// sorted for deterministic bytes. Entries without an outcome yet are
+// skipped: their record is journaled after the outcome is recorded, so
+// it lands after the rotation completes.
 func (t *tunnelRegistry) settledBatches() []tunnelBatchSnap {
 	t.mu.Lock()
 	out := make([]tunnelBatchSnap, 0, len(t.batches))
@@ -810,8 +810,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 	if err := b.sagas.Begin(sagaID); err != nil {
 		return nil
 	}
-	relData, _ := json.Marshal(releaseComp{Handle: r.Handle, Key: key})
-	_ = b.sagas.Did(sagaID, "release", relData)
+	_ = b.sagas.Did(sagaID, "release", releaseComp{Handle: r.Handle, Key: key}.AppendBinary(nil))
 	b.log.Info("reserve: splitting across disjoint paths",
 		obs.AttrRAR, spec.RARID, "parts", parts, "bw", spec.Bandwidth.String())
 
@@ -827,8 +826,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 		child.SplitOf = parts
 		child.SplitBW = shares[p]
 		childKey := routeKey(spec.RARID, &child)
-		cd, _ := json.Marshal(cancelComp{Peer: nds[p].BBDN, Key: childKey})
-		_ = b.sagas.Did(sagaID, "cancel", cd)
+		_ = b.sagas.Did(sagaID, "cancel", cancelComp{Peer: nds[p].BBDN, Key: childKey}.AppendBinary(nil))
 		downstream, err := b.forwardChild(childKey, nds[p], peer, &child, env, verified, res, span)
 		if err != nil {
 			break
@@ -1265,12 +1263,15 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 		resp.Result.BatchResults = results
 		resp.Result.Reason = fmt.Sprintf("%s: %d/%d ops denied", b.cfg.Domain, denied, len(results))
 	}
-	// Journal the outcome before releasing duplicate waiters, so a
+	// Record the outcome before journaling it: a snapshot cut after the
+	// append covers the record, so it must carry the replay-cache entry.
+	// Duplicate waiters are released only after the journal append — a
 	// retransmission never observes an unjournaled application — and,
-	// in a replica group, withhold it until a majority holds the record.
+	// in a replica group, after a majority holds the record.
+	b.tunnels.record(st, resp)
 	b.journalTunnelBatch(ep, payload.BatchID, applied, resp)
 	b.replWaitCommit()
-	b.tunnels.settle(st, resp)
+	close(st.done)
 	b.m.tunnelBatches.Inc()
 	b.m.tunnelBatchSeconds.ObserveSince(t0)
 	verdict := obs.VerdictGranted

@@ -234,7 +234,6 @@ func (r *replicator) dialReplica(id int) (*signalling.Client, error) {
 		return nil, err
 	}
 	c.Timeout = r.callTimeout()
-	c.Wire = b.cfg.Wire
 	if c.PeerDN() != b.DN() {
 		c.Close()
 		return nil, fmt.Errorf("bb %s: replica %d at %s authenticated as %s, not this domain's broker",
@@ -664,7 +663,7 @@ func (r *replicator) installSnapshot(data []byte, seq int64) error {
 	if len(st.Sagas) > 0 {
 		// The leader's open rollback debt rides its snapshot; a follower
 		// holds it passively until promotion resumes the compensations.
-		if err := b.sagas.RestoreJSON(st.Sagas); err != nil {
+		if err := b.sagas.Restore(st.Sagas); err != nil {
 			b.log.Error("replication: saga snapshot restore failed", "err", err)
 		}
 	}
@@ -768,6 +767,11 @@ func (r *replicator) promote() error {
 	r.role = replLeader
 	r.leaderID = r.id
 	r.acks = make(map[int]int64)
+	// Sequences count this leader's own journal from here on; the
+	// commit point learned from the old leader is in its numbering, and
+	// keeping it would let the commit gate pass before any follower
+	// acknowledged a record of this term.
+	r.commitSeq = 0
 	r.startPumpsLocked()
 	r.mu.Unlock()
 

@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"e2eqos/internal/identity"
@@ -21,15 +20,15 @@ import (
 // cancelComp is the argument of a "cancel" compensation: withdraw the
 // route key at the downstream peer.
 type cancelComp struct {
-	Peer identity.DN `json:"peer"`
-	Key  string      `json:"key"`
+	Peer identity.DN
+	Key  string
 }
 
 // releaseComp is the argument of a "release" compensation: cancel the
 // local admission held under Handle.
 type releaseComp struct {
-	Handle string `json:"handle"`
-	Key    string `json:"key"`
+	Handle string
+	Key    string
 }
 
 // cancelAttempts bounds each compensation incarnation's retries. It is
@@ -64,7 +63,7 @@ func (b *BB) newSagaCoordinator() *saga.Coordinator {
 // old best-effort rollback cancel.
 func (b *BB) execCancelComp(data []byte) error {
 	var c cancelComp
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := c.DecodeBinary(data); err != nil {
 		return nil // malformed debt is unpayable; don't retry forever
 	}
 	client, err := b.clientFor(c.Peer)
@@ -89,7 +88,7 @@ func (b *BB) execCancelComp(data []byte) error {
 // never replayed) — settled either way.
 func (b *BB) execReleaseComp(data []byte) error {
 	var rc releaseComp
-	if err := json.Unmarshal(data, &rc); err != nil {
+	if err := rc.DecodeBinary(data); err != nil {
 		return nil
 	}
 	if err := b.table.Cancel(rc.Handle); err == nil {
@@ -110,11 +109,11 @@ func (b *BB) compAbandoned(id string, step saga.Step) {
 	switch step.Kind {
 	case "cancel":
 		var c cancelComp
-		_ = json.Unmarshal(step.Data, &c)
+		_ = c.DecodeBinary(step.Data)
 		key, peer = c.Key, string(c.Peer)
 	case "release":
 		var rc releaseComp
-		_ = json.Unmarshal(step.Data, &rc)
+		_ = rc.DecodeBinary(step.Data)
 		key = rc.Key
 	}
 	b.log.Error("rollback cancel abandoned, downstream state unknown",
@@ -146,10 +145,9 @@ func (b *BB) mintSagaID(prefix string) string {
 // and, being journaled, survives a crash (the pre-saga version was a
 // fire-and-forget goroutine that died with the process).
 func (b *BB) cancelDownstream(dn identity.DN, key string) {
-	data, _ := json.Marshal(cancelComp{Peer: dn, Key: key})
 	id := b.mintSagaID("cancel:" + key)
 	b.m.sagasStarted.Inc()
-	if err := b.sagas.RunOne(id, "cancel", data); err != nil {
+	if err := b.sagas.RunOne(id, "cancel", cancelComp{Peer: dn, Key: key}.AppendBinary(nil)); err != nil {
 		b.log.Error("saga: rollback cancel not scheduled", obs.AttrRAR, key, "err", err)
 	}
 }

@@ -13,6 +13,7 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -109,7 +110,8 @@ const (
 // rotated snapshot (nil if none) and every intact record appended
 // after it, in order. Torn reports that trailing bytes failed to
 // decode and were discarded — the expected aftermath of a crash
-// mid-append, tolerated silently by Open.
+// mid-append (a short frame or a checksum mismatch), tolerated
+// silently by Open.
 type Recovered struct {
 	Snapshot []byte
 	Records  []Record
@@ -120,7 +122,9 @@ type Recovered struct {
 
 // Recover reads a journal directory without opening it for writing;
 // Open uses it internally and tests use it to audit a live directory
-// (after Sync) without disturbing the writer.
+// (after Sync) without disturbing the writer. A complete frame whose
+// payload is not a known record (ErrUndecodable) is an error, not a
+// torn tail: Open then fails and leaves the WAL untouched.
 func Recover(dir string) (*Recovered, error) {
 	rec := &Recovered{}
 	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
@@ -139,6 +143,12 @@ func Recover(dir string) (*Recovered, error) {
 	}
 	for off := 0; off < len(wal); {
 		r, n, err := DecodeRecord(wal[off:])
+		if errors.Is(err, ErrUndecodable) {
+			// A complete, checksummed frame was written by a writer that
+			// spoke another record format: truncating here would silently
+			// discard it and everything logged after it.
+			return nil, fmt.Errorf("%w at wal offset %d", err, off)
+		}
 		if err != nil {
 			// First bad frame ends the replay: everything beyond it is
 			// the torn tail of a crashed write (or garbage shadowed by
@@ -258,10 +268,10 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 // policy. The returned error is also sticky (see Stats.Err): callers
 // on the hot path may ignore it and rely on the OnError hook.
 //
-// Payloads implementing BinaryRecord are framed directly into the
-// journal's own buffers (the batch buffer or the direct-write scratch),
-// so a steady-state append allocates nothing.
-func (j *Journal) Append(op string, data any) error {
+// Payloads are framed directly into the journal's own buffers (the
+// batch buffer or the direct-write scratch), so a steady-state append
+// allocates nothing.
+func (j *Journal) Append(op string, data BinaryRecord) error {
 	if j == nil {
 		return nil
 	}

@@ -4,17 +4,40 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"e2eqos/internal/wire"
 )
 
+// payload is the tests' record type: 1=n 2=s.
 type payload struct {
-	N int    `json:"n"`
-	S string `json:"s,omitempty"`
+	N int
+	S string
+}
+
+func (p payload) AppendBinary(buf []byte) []byte {
+	buf = wire.AppendInt(buf, 1, int64(p.N))
+	return wire.AppendString(buf, 2, p.S)
+}
+
+func (p *payload) DecodeBinary(data []byte) error {
+	d := wire.Dec{Buf: data}
+	for d.More() {
+		f, wt := d.Tag()
+		switch {
+		case f == 1 && wt == wire.TVarint:
+			p.N = int(d.Varint())
+		case f == 2 && wt == wire.TBytes:
+			p.S = d.String()
+		default:
+			d.Skip(wt)
+		}
+	}
+	return d.Err()
 }
 
 func openT(t *testing.T, dir string, opts Options) (*Journal, *Recovered) {
@@ -81,14 +104,51 @@ func TestDecodeRecordErrors(t *testing.T) {
 		t.Errorf("oversized length: err = %v, want ErrCorrupt", err)
 	}
 
-	// Valid frame around a non-JSON payload.
-	junk := []byte("not json")
-	frame := make([]byte, headerSize+len(junk))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(junk)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(junk, crcTable))
-	copy(frame[headerSize:], junk)
-	if _, _, err := DecodeRecord(frame); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("non-JSON payload: err = %v, want ErrCorrupt", err)
+	// Valid frames around payloads that are not binary records: junk,
+	// a JSON record as journals wrote before the binary codec, and a
+	// binary record whose op length runs past the frame.
+	for name, p := range map[string][]byte{
+		"junk":       []byte("not a record"),
+		"json":       []byte(`{"op":"resv.admit","data":{"seq":1}}`),
+		"torn op":    {recMagic, recVersion, 0x05, 'x'},
+		"future":     {recMagic, 99, 0x01, 'x'},
+		"no op":      {recMagic, recVersion, 0x00},
+		"bare magic": {recMagic},
+	} {
+		if _, _, err := DecodeRecord(frameRaw(p)); !errors.Is(err, ErrUndecodable) || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s payload: err = %v, want ErrUndecodable (an ErrCorrupt)", name, err)
+		}
+	}
+}
+
+// TestOpenFailsClosedOnUndecodableFrame pins the difference between a
+// torn tail and a complete frame from another record format: the first
+// is truncated, the second must stop recovery with the WAL untouched,
+// or every record logged after it would be silently discarded.
+func TestOpenFailsClosedOnUndecodableFrame(t *testing.T) {
+	dir := t.TempDir()
+	good, err := EncodeRecord("test.op", payload{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := append(frameRaw([]byte{recMagic, 99, 1, 'x'}), good...)
+	path := filepath.Join(dir, walFile)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); !errors.Is(err, ErrUndecodable) {
+		t.Fatalf("Recover: err = %v, want ErrUndecodable", err)
+	}
+	if j, _, err := Open(dir, Options{}); err == nil {
+		j.Close()
+		t.Fatal("Open succeeded over an undecodable frame")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, wal) {
+		t.Fatalf("Open rewrote wal.log: %d bytes, want the original %d", len(after), len(wal))
 	}
 }
 

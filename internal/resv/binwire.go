@@ -162,8 +162,6 @@ func (c *compactRec) DecodeBinary(data []byte) error {
 // Table snapshot binary layout: snapMagic, snapVersion, then 1=name
 // 2=capacity 3=seq 4=reservations (repeated, sorted by handle — the
 // deterministic-bytes property the recovery tests assert on).
-// RestoreTable still accepts the JSON form for snapshots rotated
-// before the binary codec existed.
 const (
 	snapMagic   = 0xB2
 	snapVersion = 1

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"e2eqos/internal/identity"
+	"e2eqos/internal/journal"
 	"e2eqos/internal/units"
 )
 
@@ -100,7 +101,7 @@ type Table struct {
 	// mutation (see journaled.go). Mutators collect events under mu and
 	// invoke emit after releasing it, so the hook may block on I/O or
 	// take locks of its own without stalling the table.
-	emit func(op string, data any)
+	emit func(op string, data journal.BinaryRecord)
 }
 
 // NewTable creates a table managing the given capacity.

@@ -2,7 +2,6 @@ package resv
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -145,11 +144,13 @@ func TestSnapshotRoundTripRetentionOverride(t *testing.T) {
 // must fall back to the window end as the retirement time instead of
 // treating zero time as "dead since forever".
 func TestSnapshotRoundTripCancelledWithoutStamp(t *testing.T) {
-	legacy := `{"name":"net-old","capacity":100000000,"seq":1,"reservations":[
-	 {"Handle":"net-old-1","Bandwidth":1000000,
-	  "Window":{"Start":"2001-08-07T09:00:00Z","End":"2001-08-07T10:00:00Z"},
-	  "Status":1}]}`
-	restored, err := RestoreTable([]byte(legacy))
+	start := time.Date(2001, 8, 7, 9, 0, 0, 0, time.UTC)
+	legacy := (&snapshot{Name: "net-old", Capacity: 100 * units.Mbps, Seq: 1, Reservations: []Reservation{{
+		Handle: "net-old-1", Bandwidth: units.Mbps,
+		Window: units.Window{Start: start, End: start.Add(time.Hour)},
+		Status: Cancelled,
+	}}}).appendBinary(nil)
+	restored, err := RestoreTable(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +202,8 @@ func TestSnapshotRoundTripThroughReplayIsIdempotent(t *testing.T) {
 	}
 	// Re-apply the full mutation history as journal records on top of
 	// the already-final snapshot.
-	mk := func(op string, payload any) journal.Record {
-		b, err := json.Marshal(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return journal.Record{Op: op, Data: b}
+	mk := func(op string, payload journal.BinaryRecord) journal.Record {
+		return journal.Record{Op: op, Data: payload.AppendBinary(nil)}
 	}
 	recs := []journal.Record{
 		mk(opAdmit, admitRec{Resv: mustLookup(t, tab, r1.Handle), Seq: 1}),

@@ -12,23 +12,24 @@
 package saga
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"e2eqos/internal/journal"
 )
 
 // Journal is the append-only log sagas persist through. *journal.Journal
 // satisfies it; a nil Journal keeps the coordinator memory-only (sagas
 // still run, they just don't survive a crash).
 type Journal interface {
-	Append(op string, v any) error
+	Append(op string, v journal.BinaryRecord) error
 }
 
-// Journal record vocabulary. Records marshal as JSON through the
-// journal's fallback encoding; the "saga." prefix routes them to
-// ApplyRecord during recovery and on replication followers.
+// Journal record vocabulary. Records use the binary codecs in
+// binwire.go; the "saga." prefix routes them to ApplyRecord during
+// recovery and on replication followers.
 const (
 	OpBegin  = "saga.begin"  // saga created
 	OpStep   = "saga.step"   // compensation registered for a completed step
@@ -44,13 +45,13 @@ func IsSagaOp(op string) bool {
 }
 
 // Step is one registered compensation: Kind selects the executor, Data
-// is its opaque (JSON) argument. Done flips when the compensation has
+// is its opaque argument. Done flips when the compensation has
 // executed to completion after an abort.
 type Step struct {
-	ID   int             `json:"id"`
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data,omitempty"`
-	Done bool            `json:"done,omitempty"`
+	ID   int
+	Kind string
+	Data []byte
+	Done bool
 }
 
 // Exec runs one compensation. A nil error means the compensation
@@ -59,25 +60,21 @@ type Exec func(data []byte) error
 
 // Snap is the snapshot form of one live saga, for journal rotation.
 type Snap struct {
-	ID       string `json:"id"`
-	Aborting bool   `json:"aborting,omitempty"`
-	Steps    []Step `json:"steps,omitempty"`
+	ID       string
+	Aborting bool
+	Steps    []Step
 }
 
-// journal record payloads.
-type beginRec struct {
-	ID string `json:"id"`
+// journal record payloads. markRec carries the saga-level transitions
+// (begin, commit, abort, done) and, with StepID set, one settled
+// compensation (comp).
+type markRec struct {
+	ID     string
+	StepID int
 }
 type stepRec struct {
-	ID   string `json:"id"`
-	Step Step   `json:"step"`
-}
-type markRec struct {
-	ID string `json:"id"`
-}
-type compRec struct {
-	ID     string `json:"id"`
-	StepID int    `json:"step_id"`
+	ID   string
+	Step Step
 }
 
 // sagaState is one live saga.
@@ -173,7 +170,7 @@ func (c *Coordinator) AttachJournal(j Journal) {
 	c.mu.Unlock()
 }
 
-func (c *Coordinator) append(op string, v any) {
+func (c *Coordinator) append(op string, v journal.BinaryRecord) {
 	c.mu.Lock()
 	j := c.journal
 	c.mu.Unlock()
@@ -193,7 +190,7 @@ func (c *Coordinator) Begin(id string) error {
 	}
 	c.sagas[id] = &sagaState{id: id, abandoned: make(map[int]bool)}
 	c.mu.Unlock()
-	c.append(OpBegin, beginRec{ID: id})
+	c.append(OpBegin, markRec{ID: id})
 	return nil
 }
 
@@ -209,7 +206,7 @@ func (c *Coordinator) Did(id, kind string, data []byte) error {
 		return fmt.Errorf("saga: unknown saga %q", id)
 	}
 	c.nextID[id]++
-	st := Step{ID: c.nextID[id], Kind: kind, Data: append(json.RawMessage(nil), data...)}
+	st := Step{ID: c.nextID[id], Kind: kind, Data: append([]byte(nil), data...)}
 	s.steps = append(s.steps, st)
 	c.mu.Unlock()
 	c.append(OpStep, stepRec{ID: id, Step: st})
@@ -313,7 +310,7 @@ func (c *Coordinator) compensate(id string) {
 				}
 			}
 			c.mu.Unlock()
-			c.append(OpComp, compRec{ID: id, StepID: step.ID})
+			c.append(OpComp, markRec{ID: id, StepID: step.ID})
 			if c.opts.OnCompensated != nil {
 				c.opts.OnCompensated(id, step)
 			}
@@ -333,10 +330,10 @@ func (c *Coordinator) compensate(id string) {
 // ApplyRecord replays one journal record into the coordinator's state
 // without running anything: boot recovery and replication followers
 // share it. Returns whether the op belonged to the saga vocabulary.
-func (c *Coordinator) ApplyRecord(op string, decode func(any) error) (bool, error) {
+func (c *Coordinator) ApplyRecord(op string, decode func(journal.BinaryDecoder) error) (bool, error) {
 	switch op {
 	case OpBegin:
-		var r beginRec
+		var r markRec
 		if err := decode(&r); err != nil {
 			return false, err
 		}
@@ -386,7 +383,7 @@ func (c *Coordinator) ApplyRecord(op string, decode func(any) error) (bool, erro
 		}
 		c.mu.Unlock()
 	case OpComp:
-		var r compRec
+		var r markRec
 		if err := decode(&r); err != nil {
 			return false, err
 		}
@@ -409,7 +406,7 @@ func (c *Coordinator) ApplyRecord(op string, decode func(any) error) (bool, erro
 // presumed aborted — one that had committed would have vanished with
 // its OpCommit record — and its unfinished compensations re-run with a
 // fresh retry budget. Returns how many sagas resumed. Call once, after
-// ApplyRecord/RestoreJSON replayed everything and the journal is
+// ApplyRecord/Restore replayed everything and the journal is
 // attached.
 func (c *Coordinator) Resume() int {
 	c.mu.Lock()
@@ -440,10 +437,10 @@ func (c *Coordinator) Resume() int {
 	return len(ids)
 }
 
-// SnapshotJSON serialises the live saga set, sorted for deterministic
+// Snapshot serialises the live saga set, sorted for deterministic
 // bytes; nil when no sagas are live. Journal rotation embeds it in the
 // broker snapshot.
-func (c *Coordinator) SnapshotJSON() []byte {
+func (c *Coordinator) Snapshot() []byte {
 	c.mu.Lock()
 	snaps := make([]Snap, 0, len(c.sagas))
 	for _, s := range c.sagas {
@@ -455,18 +452,14 @@ func (c *Coordinator) SnapshotJSON() []byte {
 		return nil
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].ID < snaps[j].ID })
-	out, err := json.Marshal(snaps)
-	if err != nil {
-		return nil
-	}
-	return out
+	return appendSnaps(nil, snaps)
 }
 
-// RestoreJSON replaces the saga set with a snapshot's. Workers are not
+// Restore replaces the saga set with a snapshot's. Workers are not
 // started — Resume does that once recovery completes.
-func (c *Coordinator) RestoreJSON(data []byte) error {
-	var snaps []Snap
-	if err := json.Unmarshal(data, &snaps); err != nil {
+func (c *Coordinator) Restore(data []byte) error {
+	snaps, err := decodeSnaps(data)
+	if err != nil {
 		return fmt.Errorf("saga: decoding snapshot: %w", err)
 	}
 	c.mu.Lock()

@@ -1,13 +1,15 @@
 package saga
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"e2eqos/internal/journal"
 )
 
 // fakeJournal records every appended (op, payload) pair and can replay
@@ -15,14 +17,11 @@ import (
 type fakeJournal struct {
 	mu   sync.Mutex
 	ops  []string
-	recs []json.RawMessage
+	recs [][]byte
 }
 
-func (f *fakeJournal) Append(op string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
+func (f *fakeJournal) Append(op string, v journal.BinaryRecord) error {
+	raw := v.AppendBinary(nil)
 	f.mu.Lock()
 	f.ops = append(f.ops, op)
 	f.recs = append(f.recs, raw)
@@ -35,7 +34,7 @@ func (f *fakeJournal) replayInto(c *Coordinator) error {
 	defer f.mu.Unlock()
 	for i, op := range f.ops {
 		raw := f.recs[i]
-		handled, err := c.ApplyRecord(op, func(v any) error { return json.Unmarshal(raw, v) })
+		handled, err := c.ApplyRecord(op, func(v journal.BinaryDecoder) error { return v.DecodeBinary(raw) })
 		if err != nil {
 			return err
 		}
@@ -81,10 +80,10 @@ func TestCommitDropsCompensations(t *testing.T) {
 	if err := c.Begin("s1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Did("s1", "undo", []byte(`"a"`)); err != nil {
+	if err := c.Did("s1", "undo", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Did("s1", "undo", []byte(`"b"`)); err != nil {
+	if err := c.Did("s1", "undo", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	c.Commit("s1")
@@ -106,8 +105,7 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	c.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		order = append(order, s)
 		mu.Unlock()
@@ -117,7 +115,7 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []string{"first", "second", "third"} {
-		if err := c.Did("s1", "undo", []byte(`"`+d+`"`)); err != nil {
+		if err := c.Did("s1", "undo", []byte(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +187,7 @@ func TestAbandonment(t *testing.T) {
 		mu.Unlock()
 		return errors.New("permanent")
 	})
-	if err := c.RunOne("r1", "doomed", []byte(`"x"`)); err != nil {
+	if err := c.RunOne("r1", "doomed", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -231,8 +229,7 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	var mu sync.Mutex
 	firstDone := false
 	c1.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		defer mu.Unlock()
 		if s == "late" { // registered second, compensated first
@@ -244,10 +241,10 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	if err := c1.Begin("s1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Did("s1", "undo", []byte(`"early"`)); err != nil {
+	if err := c1.Did("s1", "undo", []byte("early")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Did("s1", "undo", []byte(`"late"`)); err != nil {
+	if err := c1.Did("s1", "undo", []byte("late")); err != nil {
 		t.Fatal(err)
 	}
 	c1.Abort("s1")
@@ -264,8 +261,7 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	defer c2.Close()
 	var replayed []string
 	c2.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		replayed = append(replayed, s)
 		mu.Unlock()
@@ -339,41 +335,42 @@ func TestPresumedAbort(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip: snapshot bytes are deterministic and restore
-// reproduces the saga set exactly.
+// reproduces the saga set exactly, whatever bytes a step's argument
+// holds.
 func TestSnapshotRoundTrip(t *testing.T) {
 	c := New(Options{})
 	defer c.Close()
+	args := map[string]string{"b": "\xff{\x00", "a": "a"}
 	for _, id := range []string{"b", "a"} { // insertion order must not matter
 		if err := c.Begin(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Did(id, "undo", []byte(`"`+id+`"`)); err != nil {
+		if err := c.Did(id, "undo", []byte(args[id])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s1 := c.SnapshotJSON()
-	s2 := c.SnapshotJSON()
+	s1 := c.Snapshot()
+	s2 := c.Snapshot()
 	if string(s1) != string(s2) {
 		t.Fatalf("snapshot not deterministic:\n%s\n%s", s1, s2)
 	}
 
 	c2 := New(Options{Backoff: time.Millisecond})
 	defer c2.Close()
-	if err := c2.RestoreJSON(s1); err != nil {
+	if err := c2.Restore(s1); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Live() != 2 {
 		t.Fatalf("restored live=%d, want 2", c2.Live())
 	}
-	if string(c2.SnapshotJSON()) != string(s1) {
-		t.Fatalf("restored snapshot differs:\n%s\n%s", c2.SnapshotJSON(), s1)
+	if string(c2.Snapshot()) != string(s1) {
+		t.Fatalf("restored snapshot differs:\n%s\n%s", c2.Snapshot(), s1)
 	}
 	// Restored sagas resume as presumed aborts and compensate.
 	var mu sync.Mutex
 	var got []string
 	c2.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		got = append(got, s)
 		mu.Unlock()
@@ -385,11 +382,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	waitFor(t, "restored sagas to close", func() bool { return c2.Live() == 0 })
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("compensated %v", got)
+	sort.Strings(got)
+	if want := []string{"a", "\xff{\x00"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("compensated %q, want %q", got, want)
 	}
 	// Empty coordinator snapshots to nil.
-	if b := c2.SnapshotJSON(); b != nil {
+	if b := c2.Snapshot(); b != nil {
 		t.Fatalf("empty snapshot = %q, want nil", b)
 	}
 }

@@ -10,10 +10,9 @@ import (
 	"e2eqos/internal/wire"
 )
 
-// Binary frame layout (the default wire encoding, DESIGN.md §6.6):
+// Binary frame layout (DESIGN.md §6.6):
 //
-//	byte 0   BinMagic (0xE2) — JSON frames start with '{', so one byte
-//	         discriminates the two encodings per message
+//	byte 0   BinMagic (0xE2)
 //	byte 1   BinVersion
 //	byte 2   message type code (see typeCode)
 //	uvarint  message ID
@@ -28,38 +27,6 @@ const (
 	// from the future rather than misparse them.
 	BinVersion = 1
 )
-
-// WireMode selects the frame encoding a client speaks. The server side
-// needs no mode: it answers every request in the encoding the request
-// arrived in, which is how the per-connection negotiation works — a
-// `-wire json` client simply never sees a binary byte.
-type WireMode int
-
-const (
-	// WireBinary is the default hot-path encoding.
-	WireBinary WireMode = iota
-	// WireJSON is the debug/interop encoding (the pre-binary format).
-	WireJSON
-)
-
-func (m WireMode) String() string {
-	if m == WireJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// ParseWireMode parses a -wire flag value; empty selects binary.
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "", "binary":
-		return WireBinary, nil
-	case "json":
-		return WireJSON, nil
-	default:
-		return WireBinary, fmt.Errorf("signalling: unknown wire mode %q (want binary or json)", s)
-	}
-}
 
 // typeCode maps MsgType to its single-byte wire code and back. Codes
 // are part of the wire format: never renumber, only append.
@@ -111,10 +78,13 @@ func (m *Message) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// decodeBinary parses a binary frame (data[0] == BinMagic).
-func decodeBinary(data []byte) (*Message, error) {
+// DecodeMessage parses one binary frame.
+func DecodeMessage(data []byte) (*Message, error) {
 	if len(data) < 3 {
 		return nil, fmt.Errorf("signalling: binary frame of %d bytes", len(data))
+	}
+	if data[0] != BinMagic {
+		return nil, fmt.Errorf("signalling: frame starts 0x%02x, not the binary magic", data[0])
 	}
 	if data[1] != BinVersion {
 		return nil, fmt.Errorf("signalling: unsupported frame version %d", data[1])
@@ -603,16 +573,4 @@ func appendPolicyInfo(buf []byte, field uint32, m map[string]string) []byte {
 // TLS writes through), so returning it to the pool afterwards is safe.
 var encBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 1024); return &b },
-}
-
-// appendWire encodes m in the requested mode on the given buffer.
-func (m *Message) appendWire(buf []byte, mode WireMode) ([]byte, error) {
-	if mode == WireJSON {
-		data, err := m.EncodeJSON()
-		if err != nil {
-			return nil, err
-		}
-		return append(buf, data...), nil
-	}
-	return m.AppendBinary(buf), nil
 }

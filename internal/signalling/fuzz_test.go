@@ -5,33 +5,50 @@ import (
 )
 
 // FuzzDecodeMessage ensures arbitrary wire bytes never panic the
-// decoder and that accepted messages re-encode. Batch payloads that
-// decode must additionally never panic Validate, and batches that
-// validate must be structurally sound (no duplicate sub-flow IDs, no
-// non-positive alloc bandwidth).
+// decoder and that accepted messages re-encode to decodable frames.
+// Batch payloads that decode must additionally never panic Validate,
+// and batches that validate must be structurally sound (no duplicate
+// sub-flow IDs, no non-positive alloc bandwidth).
 func FuzzDecodeMessage(f *testing.F) {
+	batch := func(id uint64, batchID string, ops ...TunnelOp) *Message {
+		return &Message{Type: MsgTunnelBatch, ID: id, TunnelBatch: &TunnelBatchPayload{
+			TunnelRARID: "r", BatchID: batchID, User: "/O=Grid/CN=alice", Ops: ops,
+		}}
+	}
+	msgs := []*Message{
+		{Type: MsgReserve, ID: 1, Reserve: &ReservePayload{Mode: ModeEndToEnd}},
+		{Type: MsgCancel, ID: 2, Cancel: &CancelPayload{RARID: "RAR-1"}},
+		{Type: MsgResult, ID: 3, Result: &ResultPayload{Granted: true, Handle: "h"}},
+		{Type: MsgTunnelAlloc, TunnelAlloc: &TunnelAllocPayload{TunnelRARID: "r", SubFlowID: "s", Bandwidth: 1}},
+		batch(4, "B-1", TunnelOp{Action: OpAlloc, SubFlowID: "s1", Bandwidth: 1000000}, TunnelOp{Action: OpRelease, SubFlowID: "s2"}),
+		batch(0, "B-2", TunnelOp{Action: OpAlloc, SubFlowID: "dup", Bandwidth: 1}, TunnelOp{Action: OpRelease, SubFlowID: "dup"}),
+		batch(0, "B-3", TunnelOp{Action: OpAlloc, SubFlowID: "s"}),
+		batch(0, "B-4", TunnelOp{Action: OpAlloc, SubFlowID: "s", Bandwidth: -5}),
+		batch(0, ""),
+		batch(0, "B-5", TunnelOp{Action: "flood", SubFlowID: "s"}),
+		{Type: MsgResult, ID: 6, Result: &ResultPayload{BatchResults: []TunnelOpResult{
+			{SubFlowID: "s1", Granted: true}, {SubFlowID: "s2", Reason: "no capacity"}}}},
+		{Type: MsgJournalStream, ID: 7, JournalStream: &JournalStreamPayload{
+			Domain: "DomainA", Term: 3, LeaderID: 1, FromSeq: 7, CommitSeq: 6, Records: [][]byte{{0xb1, 0x01}, {0xb1, 0x02}}}},
+		{Type: MsgJournalStream, ID: 8, JournalStream: &JournalStreamPayload{
+			Kind: StreamVote, Domain: "DomainA", Term: 4, LeaderID: 2, FromSeq: 9}},
+		{Type: MsgResult, ID: 9, Result: &ResultPayload{Granted: true, AckSeq: 42, Term: 3}},
+	}
 	seeds := [][]byte{
-		[]byte(`{"type":"reserve","id":1,"reserve":{"mode":"e2e","envelope":{}}}`),
+		// Frames as the retired JSON wire mode sent them: rejected.
 		[]byte(`{"type":"cancel","id":2,"cancel":{"rar_id":"RAR-1"}}`),
-		[]byte(`{"type":"result","id":3,"result":{"granted":true,"handle":"h"}}`),
-		[]byte(`{"type":"tunnel-alloc","tunnel_alloc":{"tunnel_rar_id":"r","sub_flow_id":"s","bandwidth":1}}`),
-		[]byte(`{"type":"tunnel-batch","id":4,"tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-1","user":"/O=Grid/CN=alice","ops":[{"a":"alloc","id":"s1","bw":1000000},{"a":"release","id":"s2"}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-2","ops":[{"a":"alloc","id":"dup","bw":1},{"a":"release","id":"dup"}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-3","ops":[{"a":"alloc","id":"s","bw":0}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-4","ops":[{"a":"alloc","id":"s","bw":-5}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"","batch_id":"","ops":[]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-5","ops":[{"a":"flood","id":"s"}]}}`),
-		[]byte(`{"type":"result","id":6,"result":{"granted":false,"batch_results":[{"id":"s1","ok":true},{"id":"s2","err":"no capacity"}]}}`),
-		[]byte(`{"type":"journal-stream","id":7,"journal_stream":{"domain":"DomainA","term":3,"leader_id":1,"from_seq":7,"commit_seq":6,"records":["sQE=","sQI="]}}`),
-		[]byte(`{"type":"journal-stream","id":8,"journal_stream":{"kind":1,"domain":"DomainA","term":4,"leader_id":2,"from_seq":9}}`),
-		[]byte(`{"type":"result","id":9,"result":{"granted":true,"ack_seq":42,"term":3}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-7","ops":[{"a":"all`),
 		[]byte(`{}`),
-		[]byte(`null`),
-		[]byte(`[1,2,3]`),
+		// A binary header followed by a JSON body.
+		append([]byte{BinMagic, BinVersion, 2, 1}, `{"rar_id":"RAR-1"}`...),
 		[]byte("\x00\x01\x02"),
 		[]byte(``),
 	}
+	for _, m := range msgs {
+		seeds = append(seeds, m.AppendBinary(nil))
+	}
+	// A batch torn inside its op array.
+	torn := batch(0, "B-7", TunnelOp{Action: OpAlloc, SubFlowID: "all", Bandwidth: 1}).AppendBinary(nil)
+	seeds = append(seeds, torn[:len(torn)-4])
 	// Binary-frame seeds: each golden frame, plus the malformed shapes
 	// the binary decoder must classify without panicking — torn varints,
 	// truncated frames, wrong wire types on known tags, and frames from
@@ -40,8 +57,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		frame := g.msg.AppendBinary(nil)
 		seeds = append(seeds,
 			frame,
-			frame[:len(frame)-1],             // truncated tail
-			frame[:3],                        // header only, ID missing
+			frame[:len(frame)-1], // truncated tail
+			frame[:3],            // header only, ID missing
 			append(frame[:len(frame):len(frame)], 0x80), // torn trailing varint
 		)
 	}
@@ -67,8 +84,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		if msg.Type == "" {
 			t.Fatal("decoder accepted a typeless message")
 		}
-		if _, err := msg.Encode(); err != nil {
-			t.Fatalf("accepted message failed to re-encode: %v", err)
+		if _, err := DecodeMessage(msg.AppendBinary(nil)); err != nil {
+			t.Fatalf("accepted message re-encodes to an undecodable frame: %v", err)
 		}
 		if b := msg.TunnelBatch; b != nil {
 			if err := b.Validate(); err == nil {

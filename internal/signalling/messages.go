@@ -9,7 +9,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"e2eqos/internal/envelope"
@@ -358,40 +357,6 @@ func VerifyApproval(a *DomainApproval, pub *ecdsa.PublicKey) error {
 		return fmt.Errorf("signalling: approval by %s: %w", a.BBDN, err)
 	}
 	return nil
-}
-
-// Encode serialises a message in the canonical binary framing. The
-// JSON form remains available through EncodeJSON for the `-wire json`
-// interop mode; DecodeMessage accepts both.
-func (m *Message) Encode() ([]byte, error) {
-	return m.AppendBinary(nil), nil
-}
-
-// EncodeJSON serialises a message in the JSON debug/interop framing.
-func (m *Message) EncodeJSON() ([]byte, error) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("signalling: encode: %w", err)
-	}
-	return data, nil
-}
-
-// DecodeMessage parses one frame in either encoding, discriminated by
-// the first byte: binary frames start with BinMagic, JSON frames with
-// '{'. The per-connection wire negotiation rests on this — a server
-// answers in whatever encoding the request arrived in.
-func DecodeMessage(data []byte) (*Message, error) {
-	if len(data) > 0 && data[0] == BinMagic {
-		return decodeBinary(data)
-	}
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("signalling: decode: %w", err)
-	}
-	if m.Type == "" {
-		return nil, fmt.Errorf("signalling: message without type")
-	}
-	return &m, nil
 }
 
 // NewReserveMessage wraps an envelope for the wire.

@@ -120,10 +120,7 @@ func TestServeLogsMalformedMessage(t *testing.T) {
 		t.Fatalf("garbage answered with %+v, want denied result", resp)
 	}
 	// The connection still serves well-formed requests afterwards.
-	ok, err := (&Message{Type: MsgStatus, ID: 7, Status: &StatusPayload{RARID: "r"}}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := (&Message{Type: MsgStatus, ID: 7, Status: &StatusPayload{RARID: "r"}}).AppendBinary(nil)
 	if err := conn.Send(ok); err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestCallDropsMismatchedIDs(t *testing.T) {
 		}
 		bogus := OKResult("bogus")
 		bogus.ID = 999_999
-		data, _ := bogus.Encode()
+		data := bogus.AppendBinary(nil)
 		for {
 			if err := conn.Send(data); err != nil {
 				return

@@ -1,7 +1,6 @@
 package signalling
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
@@ -150,13 +149,6 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 		if err != nil {
 			return
 		}
-		// Answer in the encoding the request arrived in: this is the
-		// whole per-connection wire negotiation. A `-wire json` client
-		// only ever sends JSON frames, so it only ever receives them.
-		mode := WireBinary
-		if len(data) == 0 || data[0] != BinMagic {
-			mode = WireJSON
-		}
 		msg, err := DecodeMessage(data)
 		if err != nil {
 			// The transport is message-oriented, so one undecodable body
@@ -167,7 +159,7 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 				obs.AttrPeer, string(peer.DN), "err", err)
 			resp := ErrorResult("malformed request: " + err.Error())
 			resp.ID = peekID(data)
-			sendResponse(conn, resp, mode, peer, logger)
+			sendResponse(conn, resp)
 			continue
 		}
 		// One goroutine per request: the transport's Send is safe for
@@ -185,23 +177,16 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 			// requests), and two requests must not race on its ID field.
 			stamped := *resp
 			stamped.ID = msg.ID
-			sendResponse(conn, &stamped, mode, peer, logger)
+			sendResponse(conn, &stamped)
 		}()
 	}
 }
 
-// sendResponse encodes resp in the request's wire mode on a pooled
-// buffer and sends it, closing the connection on transport failure.
-func sendResponse(conn transport.Conn, resp *Message, mode WireMode, peer Peer, logger *slog.Logger) {
+// sendResponse encodes resp on a pooled buffer and sends it, closing
+// the connection on transport failure.
+func sendResponse(conn transport.Conn, resp *Message) {
 	bufp := encBufPool.Get().(*[]byte)
-	out, err := resp.appendWire((*bufp)[:0], mode)
-	if err != nil {
-		encBufPool.Put(bufp)
-		logger.Error("signalling: encoding response failed",
-			obs.AttrPeer, string(peer.DN), "err", err)
-		conn.Close()
-		return
-	}
+	out := resp.AppendBinary((*bufp)[:0])
 	sendErr := conn.Send(out)
 	*bufp = out[:0]
 	encBufPool.Put(bufp)
@@ -211,26 +196,18 @@ func sendResponse(conn transport.Conn, resp *Message, mode WireMode, peer Peer, 
 }
 
 // peekID extracts the request ID from a frame whose body failed to
-// decode, so the error result reaches the waiting call. Binary frames
-// carry the ID right after the fixed header; for JSON a lenient
-// partial decode is attempted. Zero (no waiter) when nothing can be
-// recovered — the peer's call then times out instead of failing fast,
-// which is safe, just slower.
+// decode, so the error result reaches the waiting call: binary frames
+// carry the ID right after the fixed header. Zero (no waiter) when
+// nothing can be recovered — the peer's call then times out instead of
+// failing fast, which is safe, just slower.
 func peekID(data []byte) uint64 {
 	if len(data) > 3 && data[0] == BinMagic {
 		d := wire.Dec{Buf: data[3:]}
 		if id := d.Uvarint(); d.Err() == nil {
 			return id
 		}
-		return 0
 	}
-	var hdr struct {
-		ID uint64 `json:"id"`
-	}
-	if err := json.Unmarshal(data, &hdr); err != nil {
-		return 0
-	}
-	return hdr.ID
+	return 0
 }
 
 // safeHandle dispatches one request, converting a handler panic into
@@ -277,11 +254,6 @@ type Client struct {
 	// response) when positive; zero waits forever. It may be set any
 	// time before the first call.
 	Timeout time.Duration
-
-	// Wire selects the frame encoding for outbound requests (the
-	// server mirrors it per request). Set before the first call;
-	// the zero value is the binary hot path, WireJSON the debug mode.
-	Wire WireMode
 
 	sendMu sync.Mutex // serializes Send and send-deadline handling
 
@@ -447,13 +419,8 @@ func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, err
 	m := *msg
 	m.ID = id
 	bufp := encBufPool.Get().(*[]byte)
-	data, err := m.appendWire((*bufp)[:0], c.Wire)
-	if err != nil {
-		encBufPool.Put(bufp)
-		c.unregister(id)
-		return nil, err
-	}
-	err = c.send(data, timeout)
+	data := m.AppendBinary((*bufp)[:0])
+	err := c.send(data, timeout)
 	*bufp = data[:0]
 	encBufPool.Put(bufp)
 	if err != nil {

@@ -16,11 +16,7 @@ func TestMessageEncodeDecode(t *testing.T) {
 		ID:     7,
 		Cancel: &CancelPayload{RARID: "RAR-1"},
 	}
-	data, err := msg.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMessage(data)
+	got, err := DecodeMessage(msg.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func EndNested(buf []byte, start int) []byte {
 	n := len(buf) - start
 	var tmp [maxVarintLen]byte
 	ln := len(AppendUvarint(tmp[:0], uint64(n)))
-	buf = append(buf, tmp[:ln]...)       // grow by the prefix size
+	buf = append(buf, tmp[:ln]...)           // grow by the prefix size
 	copy(buf[start+ln:], buf[start:start+n]) // shift the nested content right
 	copy(buf[start:], tmp[:ln])
 	return buf
