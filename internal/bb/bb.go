@@ -96,7 +96,8 @@ type Config struct {
 	// MaxPaths enables multipath routing at this broker's ingress: up
 	// to MaxPaths edge-disjoint domain paths are tried in cost order
 	// when the preferred one is breaker-open, denied mid-chain, or
-	// fails in transport. Values <= 1 keep the single-path behaviour.
+	// fails in transport. Values <= 1 keep hop-by-hop forwarding (the
+	// k=1 walk).
 	MaxPaths int
 	// SplitParts caps how many disjoint paths one reservation may be
 	// split across when no single path grants it whole (per-path child
@@ -224,10 +225,11 @@ type BB struct {
 	// unreplicated — every caller checks).
 	repl *replicator
 
-	// sagas is the two-phase compensation layer: split reservations and
-	// downstream rollback cancels register compensations here, and the
-	// coordinator retries them persistently (journal-backed, so they
-	// resume across crash recovery). Never nil.
+	// sagas is the two-phase compensation layer: every forwarding hop's
+	// rollback (its own release plus a cancel per child) and every
+	// cancel still owed downstream register here, and the coordinator
+	// retries them persistently (journal-backed, so they resume across
+	// crash recovery and failover). Never nil.
 	sagas *saga.Coordinator
 
 	tunnels *tunnelRegistry

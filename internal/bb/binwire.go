@@ -274,10 +274,11 @@ func (r *tunnelBatchSnap) DecodeBinary(data []byte) error {
 	return d.Err()
 }
 
-// cancelComp: 1=peer 2=key.
+// cancelComp: 1=peer 2=key 3=sub_flow.
 func (c cancelComp) AppendBinary(buf []byte) []byte {
 	buf = wire.AppendString(buf, 1, string(c.Peer))
-	return wire.AppendString(buf, 2, c.Key)
+	buf = wire.AppendString(buf, 2, c.Key)
+	return wire.AppendString(buf, 3, c.SubFlow)
 }
 
 func (c *cancelComp) DecodeBinary(data []byte) error {
@@ -289,6 +290,8 @@ func (c *cancelComp) DecodeBinary(data []byte) error {
 			c.Peer = identity.DN(d.String())
 		case f == 2 && wt == wire.TBytes:
 			c.Key = d.String()
+		case f == 3 && wt == wire.TBytes:
+			c.SubFlow = d.String()
 		default:
 			d.Skip(wt)
 		}

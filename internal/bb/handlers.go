@@ -1,7 +1,9 @@
 package bb
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -423,23 +425,14 @@ func (b *BB) logReserveVerdict(spec *core.Spec, traceID string, resp *signalling
 		"dest", spec.DestDomain, "reason", resp.Result.Reason, "took", took)
 }
 
-// rollback cancels an optimistic local admission that must not
-// survive (downstream denial, transport failure, encode error) and
-// accounts for it.
-func (b *BB) rollback(handle, rarID, why string) {
-	_ = b.table.Cancel(handle)
-	b.m.rollbacks.Inc()
-	b.log.Info("reserve: rolled back local admission",
-		obs.AttrRAR, rarID, "handle", handle, "why", why)
-}
-
 // processReserve runs the admission pipeline for a first-seen RAR:
-// upstream SLA check, policy decision, local admission, and downstream
-// forwarding. The caller records the returned message as the RAR's
-// replayable outcome. span, non-nil only on traced reserves, collects
-// where the hop's time went; processReserve pins span.Verdict only
-// when the result alone cannot distinguish the failure mode (transport
-// error vs. own denial vs. rolled-back admission).
+// upstream SLA check, policy decision, route resolution, local
+// admission, and downstream forwarding. The caller records the
+// returned message as the RAR's replayable outcome. span, non-nil only
+// on traced reserves, collects where the hop's time went;
+// processReserve pins span.Verdict only when the result alone cannot
+// distinguish the failure mode (transport error vs. own denial vs.
+// rolled-back admission).
 func (b *BB) processReserve(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, now time.Time, span *obs.Span) *signalling.Message {
 	spec := verified.Spec
 
@@ -468,6 +461,8 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 		}
 		bw = units.Bandwidth(payload.SplitBW)
 	}
+	// One sweep of the table serves the SLA check and the policy query.
+	avail := b.table.Available(spec.Window)
 	if !fromUser {
 		upBB := verified.Path[len(verified.Path)-1]
 		upDomain, ok := b.domainOfBB(upBB)
@@ -483,8 +478,7 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 		if !contract.Valid(now) {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: SLA with %s not valid", b.cfg.Domain, upDomain))
 		}
-		committed := b.cfg.Capacity - b.table.Available(spec.Window)
-		if err := contract.Conforms(committed, bw); err != nil {
+		if err := contract.Conforms(b.cfg.Capacity-avail, bw); err != nil {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: %v", b.cfg.Domain, err))
 		}
 	}
@@ -495,7 +489,7 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 		User:               spec.User,
 		Bandwidth:          bw,
 		Window:             spec.Window,
-		Available:          b.table.Available(spec.Window),
+		Available:          avail,
 		SourceDomain:       spec.SourceDomain,
 		DestDomain:         spec.DestDomain,
 		Assertions:         spec.Assertions,
@@ -515,6 +509,17 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 		return b.deny(spec.RARID, fmt.Sprintf("%s: policy denied: %s", b.cfg.Domain, res.Decision.Reason))
 	}
 
+	// Resolve where a forwarded RAR goes before admitting it, so a
+	// routing failure leaves nothing to undo.
+	isDest := spec.DestDomain == b.cfg.Domain
+	local := payload.Mode == signalling.ModeLocal
+	var paths [][]string
+	if !isDest && !local {
+		if paths, err = b.pathsFor(spec, payload, fromUser); err != nil {
+			return b.deny(spec.RARID, fmt.Sprintf("%s: %v", b.cfg.Domain, err))
+		}
+	}
+
 	// Admission control against the local reservation table.
 	tAdmit := time.Now()
 	r, err := b.table.Admit(resv.AdmitRequest{
@@ -531,56 +536,155 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 	if err != nil {
 		return b.deny(spec.RARID, fmt.Sprintf("%s: admission: %v", b.cfg.Domain, err))
 	}
-
-	isDest := spec.DestDomain == b.cfg.Domain
-	local := payload.Mode == signalling.ModeLocal
-
-	if isDest || local {
-		return b.finishGrant(key, peer, verified, r, fromUser, isDest && !local)
-	}
-
-	// Forward downstream. A pinned payload (a re-route attempt or split
-	// child minted by the ingress) follows its pin — NextHop would put
-	// the copy right back on the broken primary path. The ingress, with
-	// multipath enabled, owns path choice; everyone else forwards
-	// hop-by-hop along the shortest path as before.
-	if len(payload.PathPin) > 0 {
-		next, ok := pinnedNext(payload.PathPin, b.cfg.Domain)
-		if !ok {
-			b.rollback(r.Handle, spec.RARID, "not on pinned path")
-			return b.deny(spec.RARID, fmt.Sprintf("%s: not on pinned path", b.cfg.Domain))
+	if paths == nil {
+		if isDest && !local && spec.Tunnel {
+			// Register before granting: a duplicate tunnel RAR id is a
+			// denial, not a silent shadow of the live endpoint. The
+			// admission is released through a saga like every other undo.
+			if err := b.registerTunnelDest(verified, peer); err != nil {
+				b.openHopSaga(key, r.Handle).fail()
+				return b.deny(spec.RARID, fmt.Sprintf("%s: tunnel registration: %v", b.cfg.Domain, err))
+			}
 		}
-		return b.forwardVia(key, next, peer, payload, env, verified, res, r, span)
+		return b.grant(key, peer, verified, r.Handle, "", "", nil, nil)
 	}
-	if fromUser && b.maxPaths() > 1 {
-		return b.forwardMultipath(key, peer, payload, env, verified, res, r, span)
-	}
-	nextDomain, err := b.cfg.Topo.NextHop(b.cfg.Domain, spec.DestDomain)
-	if err != nil {
-		b.rollback(r.Handle, spec.RARID, "no route")
-		return b.deny(spec.RARID, fmt.Sprintf("%s: routing: %v", b.cfg.Domain, err))
-	}
-	return b.forwardVia(key, nextDomain, peer, payload, env, verified, res, r, span)
+	return b.forward(key, peer, payload, env, verified, res, r, paths, span)
 }
 
-// pinnedNext finds the successor of domain on a pinned path.
-func pinnedNext(pin []string, domain string) (string, bool) {
-	for i, d := range pin {
-		if d == domain && i+1 < len(pin) {
-			return pin[i+1], true
+// pathsFor resolves the path set a forwarding hop walks: the ingress
+// takes up to k cheapest disjoint paths (k = maxPaths(), 1 by default),
+// a pinned copy the one path its pin gives from this domain on, and any
+// other hop its shortest path. Hop-by-hop routing is the k=1 walk.
+func (b *BB) pathsFor(spec *core.Spec, payload *signalling.ReservePayload, fromUser bool) ([][]string, error) {
+	pin := payload.PathPin
+	if len(pin) == 0 {
+		k := 1
+		if fromUser {
+			k = b.maxPaths()
+		}
+		paths, err := b.cfg.Topo.Paths(b.cfg.Domain, spec.DestDomain, k)
+		if err != nil {
+			return nil, fmt.Errorf("routing: %w", err)
+		}
+		return paths, nil
+	}
+	i := slices.Index(pin, b.cfg.Domain)
+	if i < 0 || i+1 == len(pin) {
+		return nil, errors.New("not on pinned path")
+	}
+	if _, adjacent := b.cfg.Topo.LinkBetween(b.cfg.Domain, pin[i+1]); !adjacent {
+		return nil, fmt.Errorf("pinned next hop %s is not a neighbour", pin[i+1])
+	}
+	return [][]string{pin[i:]}, nil
+}
+
+// forward is the forwarding walker. It tries the hop's path set in
+// order, skipping paths whose first-hop breaker is open: a grant
+// settles the hop, a refusal by the destination ends the walk (every
+// disjoint path converges on it), and a mid-chain refusal or a
+// transport failure moves on to the next path. When mid-chain refusals
+// used up a multi-path set, a splitting ingress continues the walk in
+// splitAcross. Only a multi-path ingress stamps the pin and attempt on
+// its copies, salting the route key per attempt so a shared downstream
+// domain cannot mistake a re-route for a retransmission; a k=1 walk
+// sends exactly the hop-by-hop frame. Every undo goes through the one
+// hopSaga opened before the first send.
+func (b *BB) forward(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, paths [][]string, span *obs.Span) *signalling.Message {
+	spec := verified.Spec
+	sg := b.openHopSaga(key, r.Handle)
+	stamp := len(verified.Path) == 1 && b.maxPaths() > 1
+	var denial *signalling.ResultPayload
+	var lastErr error
+	note := "upstream of denial"
+	midDenials, attempted := 0, 0
+	for i, path := range paths {
+		// Paths only cross links, so every first hop is a known domain.
+		nd, _ := b.cfg.Topo.Domain(path[1])
+		if wait, open := b.breakerFor(nd.BBDN).open(b.cfg.Clock()); open {
+			b.m.rerouteSkips.Inc()
+			b.log.Info("reserve: skipping path, first-hop breaker open",
+				obs.AttrRAR, spec.RARID, obs.AttrPeer, string(nd.BBDN),
+				"path", strings.Join(path, ">"), "reopens_in", wait.Round(time.Millisecond))
+			lastErr = fmt.Errorf("%w to %s for another %v", errCircuitOpen, nd.BBDN, wait.Round(time.Millisecond))
+			continue
+		}
+		child, childKey := payload, key
+		if stamp {
+			c := *payload
+			c.PathPin, c.Attempt = path, i
+			child, childKey = &c, routeKey(spec.RARID, &c)
+		}
+		if attempted > 0 {
+			b.m.reroutes.Inc()
+			b.log.Info("reserve: re-routing onto disjoint path",
+				obs.AttrRAR, spec.RARID, "attempt", i, "path", strings.Join(path, ">"))
+		}
+		attempted++
+		downstream, err := b.forwardChild(sg, childKey, nd, peer, child, env, verified, res, span)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if downstream.Result.Granted {
+			// A RAR id colliding with a live tunnel must surface as a
+			// denial, not silently shadow the existing endpoint.
+			if len(verified.Path) == 1 && spec.Tunnel {
+				if err := b.registerTunnelSource(spec, downstream.Result); err != nil {
+					sg.fail()
+					return b.deny(spec.RARID, fmt.Sprintf("%s: tunnel registration: %v", b.cfg.Domain, err))
+				}
+			}
+			sg.commit()
+			return b.grant(key, peer, verified, r.Handle, nd.BBDN, childKey, nil, downstream.Result)
+		}
+		denial = downstream.Result
+		if deniedAtDest(denial, spec.DestDomain) {
+			break
+		}
+		midDenials++
+	}
+	if midDenials > 0 && b.splitParts() > 0 && len(paths) >= 2 && !spec.Tunnel {
+		resp, failure, err := b.splitAcross(sg, key, peer, payload, env, verified, res, r, paths, span)
+		if resp != nil {
+			return resp
+		}
+		if failure != nil || err != nil {
+			b.m.splitFails.Inc()
+			denial, lastErr, note = failure, err, "split aborted"
 		}
 	}
-	return "", false
+	sg.fail()
+	if denial == nil {
+		if span != nil {
+			span.Verdict = obs.VerdictError
+			span.Reason = lastErr.Error()
+		}
+		return b.deny(spec.RARID, fmt.Sprintf("%s: downstream call: %v", b.cfg.Domain, lastErr))
+	}
+	// Propagate the refusal upstream with the approvals and spans from
+	// below, plus this hop's signed note.
+	resp := signalling.ErrorResult(denial.Reason)
+	resp.Result.Approvals = denial.Approvals
+	resp.Result.Trace = denial.Trace
+	if a, err := b.signApproval(spec.RARID, "", false, note); err == nil {
+		resp.Result.Approvals = append(resp.Result.Approvals, a)
+	}
+	if span != nil {
+		// This hop did not refuse; the refusal is in a deeper span.
+		span.Verdict = obs.VerdictRolledBack
+	}
+	return resp
 }
 
 // forwardChild performs one downstream forward of the (possibly
-// pinned, possibly split) payload and settles the transport layer: on
-// a transport failure or a result-less response it fires the
-// journaled rollback cancel for the child key — the hop below may
-// have admitted before the response was lost — and returns an error;
-// otherwise the downstream result, grant or denial, comes back as is.
-// The caller owns the local admission either way.
-func (b *BB) forwardChild(childKey string, nd *topology.Domain, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, span *obs.Span) (*signalling.Message, error) {
+// pinned, possibly split) payload under the hop's saga. The child's
+// cancel is owed before the frame leaves; it is settled again when the
+// hop below refused (that hop rolled itself back) or the open breaker
+// kept the frame from leaving, and stays owed — lost — on any other
+// transport failure or a result-less response, since the hop below may
+// have admitted before the response was lost. A grant or denial comes
+// back as is; the walker owns the local admission either way.
+func (b *BB) forwardChild(sg *hopSaga, childKey string, nd *topology.Domain, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, span *obs.Span) (*signalling.Message, error) {
 	nextCert := b.cfg.PeerCerts[nd.BBDN]
 	if nextCert == nil {
 		return nil, fmt.Errorf("no certificate for next hop %s", nd.BBDN)
@@ -603,6 +707,7 @@ func (b *BB) forwardChild(childKey string, nd *topology.Domain, peer signalling.
 	fwd.Reserve.SplitPart = payload.SplitPart
 	fwd.Reserve.SplitOf = payload.SplitOf
 	fwd.Reserve.SplitBW = payload.SplitBW
+	step := sg.owe(nd.BBDN, childKey)
 	b.m.forwarded.Inc()
 	tDown := time.Now()
 	downstream, retries, err := b.callPeer(nd.BBDN, fwd)
@@ -616,58 +721,20 @@ func (b *BB) forwardChild(childKey string, nd *topology.Domain, peer signalling.
 		err = fmt.Errorf("downstream sent no result")
 	}
 	if err != nil {
-		b.cancelDownstream(nd.BBDN, childKey)
+		if errors.Is(err, errCircuitOpen) {
+			sg.settle(step) // the frame never left
+		} else {
+			sg.lose(step)
+		}
 		b.log.Error("reserve: downstream call failed",
 			obs.AttrRAR, childKey, obs.AttrPeer, string(nd.BBDN),
 			obs.AttrTrace, payload.TraceID, "retries", retries, "err", err)
 		return nil, err
 	}
-	return downstream, nil
-}
-
-// forwardVia forwards to one named next hop and settles the outcome —
-// the single-path case: legacy hop-by-hop forwarding and mid-chain
-// hops of a pinned path. Transport failure or denial rolls back the
-// local admission and propagates; a grant records the route.
-func (b *BB) forwardVia(key, nextDomain string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, span *obs.Span) *signalling.Message {
-	spec := verified.Spec
-	nd, ok := b.cfg.Topo.Domain(nextDomain)
-	if !ok {
-		b.rollback(r.Handle, spec.RARID, "unknown next hop")
-		return b.deny(spec.RARID, fmt.Sprintf("%s: unknown next hop %s", b.cfg.Domain, nextDomain))
-	}
-	if _, adjacent := b.cfg.Topo.LinkBetween(b.cfg.Domain, nextDomain); !adjacent {
-		b.rollback(r.Handle, spec.RARID, "next hop not adjacent")
-		return b.deny(spec.RARID, fmt.Sprintf("%s: pinned next hop %s is not a neighbour", b.cfg.Domain, nextDomain))
-	}
-	downstream, err := b.forwardChild(key, nd, peer, payload, env, verified, res, span)
-	if err != nil {
-		// Roll back the optimistic local admission; forwardChild already
-		// scheduled the downstream cancel for the unknown-outcome case.
-		b.rollback(r.Handle, spec.RARID, "downstream call failed")
-		if span != nil {
-			span.Verdict = obs.VerdictError
-			span.Reason = err.Error()
-		}
-		return b.deny(spec.RARID, fmt.Sprintf("%s: downstream call: %v", b.cfg.Domain, err))
-	}
 	if !downstream.Result.Granted {
-		// Roll back the optimistic local admission and propagate the
-		// denial (with the downstream approvals/reasons) upstream.
-		b.rollback(r.Handle, spec.RARID, "downstream denied")
-		resp := signalling.ErrorResult(downstream.Result.Reason)
-		resp.Result.Approvals = downstream.Result.Approvals
-		resp.Result.Trace = downstream.Result.Trace
-		if a, err := b.signApproval(spec.RARID, "", false, "upstream of denial"); err == nil {
-			resp.Result.Approvals = append(resp.Result.Approvals, a)
-		}
-		if span != nil {
-			// This hop did not refuse; the refusal is in a deeper span.
-			span.Verdict = obs.VerdictRolledBack
-		}
-		return resp
+		sg.settle(step)
 	}
-	return b.settleGrant(key, key, nd.BBDN, peer, verified, r, downstream)
+	return downstream, nil
 }
 
 // deniedAtDest reports whether a denial came from the destination
@@ -684,106 +751,23 @@ func deniedAtDest(res *signalling.ResultPayload, dest string) bool {
 	return false
 }
 
-// forwardMultipath is the ingress forwarding strategy once
-// Config.MaxPaths enables re-route: try each disjoint path in cost
-// order — skipping paths whose first-hop breaker is already open,
-// pinning the chosen path onto the forwarded copy, salting the route
-// key per attempt so a shared downstream domain cannot mistake a
-// re-route for a retransmission — and, when no single path grants the
-// full bandwidth because of a mid-chain refusal, fall back to
-// splitting the reservation across paths.
-func (b *BB) forwardMultipath(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, span *obs.Span) *signalling.Message {
-	spec := verified.Spec
-	paths, err := b.cfg.Topo.Paths(b.cfg.Domain, spec.DestDomain, b.maxPaths())
-	if err != nil {
-		b.rollback(r.Handle, spec.RARID, "no route")
-		return b.deny(spec.RARID, fmt.Sprintf("%s: routing: %v", b.cfg.Domain, err))
-	}
-	var lastDenial *signalling.ResultPayload
-	midDenials := 0
-	attempted := 0
-	for i, path := range paths {
-		nd, ok := b.cfg.Topo.Domain(path[1])
-		if !ok {
-			continue
-		}
-		if wait, open := b.breakerFor(nd.BBDN).open(b.cfg.Clock()); open {
-			b.m.rerouteSkips.Inc()
-			b.log.Info("reserve: skipping path, first-hop breaker open",
-				obs.AttrRAR, spec.RARID, obs.AttrPeer, string(nd.BBDN),
-				"path", strings.Join(path, ">"), "reopens_in", wait.Round(time.Millisecond))
-			continue
-		}
-		child := *payload
-		child.PathPin = path
-		child.Attempt = i
-		childKey := routeKey(spec.RARID, &child)
-		if attempted > 0 {
-			b.m.reroutes.Inc()
-			b.log.Info("reserve: re-routing onto disjoint path",
-				obs.AttrRAR, spec.RARID, "attempt", i, "path", strings.Join(path, ">"))
-		}
-		attempted++
-		downstream, err := b.forwardChild(childKey, nd, peer, &child, env, verified, res, span)
-		if err != nil {
-			continue // transport failure; the rollback cancel is scheduled
-		}
-		if downstream.Result.Granted {
-			return b.settleGrant(key, childKey, nd.BBDN, peer, verified, r, downstream)
-		}
-		lastDenial = downstream.Result
-		if deniedAtDest(downstream.Result, spec.DestDomain) {
-			break
-		}
-		midDenials++
-	}
-	if midDenials > 0 && b.splitParts() > 0 && len(paths) >= 2 && !spec.Tunnel {
-		if resp := b.splitAcross(key, peer, payload, env, verified, res, r, paths, span); resp != nil {
-			return resp
-		}
-	}
-	b.rollback(r.Handle, spec.RARID, "no path granted")
-	if lastDenial != nil {
-		resp := signalling.ErrorResult(lastDenial.Reason)
-		resp.Result.Approvals = lastDenial.Approvals
-		resp.Result.Trace = lastDenial.Trace
-		if a, err := b.signApproval(spec.RARID, "", false, "upstream of denial"); err == nil {
-			resp.Result.Approvals = append(resp.Result.Approvals, a)
-		}
-		if span != nil {
-			span.Verdict = obs.VerdictRolledBack
-		}
-		return resp
-	}
-	if span != nil {
-		span.Verdict = obs.VerdictError
-		span.Reason = "no usable path"
-	}
-	return b.deny(spec.RARID, fmt.Sprintf("%s: no usable path to %s (%d disjoint, all failed)", b.cfg.Domain, spec.DestDomain, len(paths)))
-}
-
-// splitAcross places the reservation as per-path children, each
-// carrying an unsigned share of the signed bandwidth; the shares sum
-// to it exactly. The children settle atomically through a saga: the
-// "release" compensation for the local admission is journaled first
-// (compensations run newest-first, so it lands last), each child's
-// "cancel" debt is journaled before its forward — a crash inside the
-// call window must still withdraw whatever that path admitted. All
-// children granted commits the saga and drops the debt; any refusal
-// aborts, and the compensations withdraw the granted siblings and
-// release the local admission (the caller must then NOT rollback
-// again). Returns nil when fewer than two paths were usable — the
-// caller falls through to the ordinary denial.
-func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, paths [][]string, span *obs.Span) *signalling.Message {
+// splitAcross continues a walk whose paths each refused the full
+// bandwidth mid-chain: it places the reservation as per-path children,
+// each carrying an unsigned share of the signed bandwidth (the shares
+// sum to it exactly), under the hop's saga — each child's cancel is
+// owed before its frame leaves, so a crash inside the call window still
+// withdraws whatever that path admitted. All children granted commits
+// the saga and returns the grant; the first refusal or transport
+// failure stops the split and comes back for the walker to fail the
+// hop with, which withdraws the granted siblings. Returns nothing at
+// all when fewer than two paths are usable.
+func (b *BB) splitAcross(sg *hopSaga, key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, paths [][]string, span *obs.Span) (*signalling.Message, *signalling.ResultPayload, error) {
 	spec := verified.Spec
 	parts := b.splitParts()
 	usable := make([][]string, 0, parts)
 	nds := make([]*topology.Domain, 0, parts)
 	for _, path := range paths {
-		nd, ok := b.cfg.Topo.Domain(path[1])
-		if !ok {
-			continue
-		}
+		nd, _ := b.cfg.Topo.Domain(path[1])
 		if _, open := b.breakerFor(nd.BBDN).open(b.cfg.Clock()); open {
 			continue
 		}
@@ -794,7 +778,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 		}
 	}
 	if len(usable) < 2 {
-		return nil
+		return nil, nil, nil
 	}
 	parts = len(usable)
 	total := int64(spec.Bandwidth)
@@ -804,13 +788,6 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 		shares[p] = share
 	}
 	shares[0] += total - share*int64(parts)
-
-	sagaID := b.mintSagaID("split:" + key)
-	b.m.sagasStarted.Inc()
-	if err := b.sagas.Begin(sagaID); err != nil {
-		return nil
-	}
-	_ = b.sagas.Did(sagaID, "release", releaseComp{Handle: r.Handle, Key: key}.AppendBinary(nil))
 	b.log.Info("reserve: splitting across disjoint paths",
 		obs.AttrRAR, spec.RARID, "parts", parts, "bw", spec.Bandwidth.String())
 
@@ -818,7 +795,6 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 	var approvals []signalling.DomainApproval
 	var trace []obs.Span
 	policyInfo := map[string]string{}
-	var failure *signalling.ResultPayload
 	for p := 0; p < parts; p++ {
 		child := *payload
 		child.PathPin = usable[p]
@@ -826,14 +802,12 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 		child.SplitOf = parts
 		child.SplitBW = shares[p]
 		childKey := routeKey(spec.RARID, &child)
-		_ = b.sagas.Did(sagaID, "cancel", cancelComp{Peer: nds[p].BBDN, Key: childKey}.AppendBinary(nil))
-		downstream, err := b.forwardChild(childKey, nds[p], peer, &child, env, verified, res, span)
+		downstream, err := b.forwardChild(sg, childKey, nds[p], peer, &child, env, verified, res, span)
 		if err != nil {
-			break
+			return nil, nil, err
 		}
 		if !downstream.Result.Granted {
-			failure = downstream.Result
-			break
+			return nil, downstream.Result, nil
 		}
 		children = append(children, childRoute{Next: nds[p].BBDN, Key: childKey, BW: shares[p]})
 		approvals = append(approvals, downstream.Result.Approvals...)
@@ -842,130 +816,49 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 			policyInfo[k] = v
 		}
 	}
-	if len(children) == parts {
-		b.sagas.Commit(sagaID)
-		b.m.sagasCommitted.Inc()
-		b.m.splits.Inc()
-		b.recordRoute(key, spec, r.Handle, "", "", children, peer)
-		b.installEdgeFlow(spec)
-		b.syncDataPlane()
-		b.log.Info("reserve: split reservation granted",
-			obs.AttrRAR, spec.RARID, "parts", parts)
-		resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{
-			Granted:    true,
-			Handle:     r.Handle,
-			Approvals:  approvals,
-			PolicyInfo: policyInfo,
-			Trace:      trace,
-		}}
-		if a, err := b.signApproval(spec.RARID, r.Handle, true, ""); err == nil {
-			resp.Result.Approvals = append(resp.Result.Approvals, a)
-		}
-		return resp
-	}
-	// Partial failure: abort — the compensations withdraw every child
-	// forwarded so far (granted or unknown) and release the local
-	// admission, so no b.rollback here.
-	b.m.splitFails.Inc()
-	b.sagas.Abort(sagaID)
-	reason := fmt.Sprintf("%s: split reservation aborted", b.cfg.Domain)
-	if failure != nil && failure.Reason != "" {
-		reason = failure.Reason
-	}
-	resp := signalling.ErrorResult(reason)
-	if failure != nil {
-		resp.Result.Approvals = failure.Approvals
-		resp.Result.Trace = failure.Trace
-	}
-	if a, err := b.signApproval(spec.RARID, "", false, "split aborted"); err == nil {
-		resp.Result.Approvals = append(resp.Result.Approvals, a)
-	}
-	if span != nil {
-		span.Verdict = obs.VerdictRolledBack
-	}
-	return resp
+	sg.commit()
+	b.m.splits.Inc()
+	b.log.Info("reserve: split reservation granted",
+		obs.AttrRAR, spec.RARID, "parts", parts)
+	return b.grant(key, peer, verified, r.Handle, "", "", children,
+		&signalling.ResultPayload{Approvals: approvals, PolicyInfo: policyInfo, Trace: trace}), nil, nil
 }
 
-// settleGrant records a forwarded grant: tunnel registration, route
-// state — downKey is the route key the downstream leg runs under,
-// which differs from the hop's own key when the ingress re-routed —
-// the data plane, and this domain's approval stacked on top of the
-// downstream ones.
-func (b *BB) settleGrant(key, downKey string, next identity.DN, peer signalling.Peer, verified *core.VerifiedRequest, r *resv.Reservation, downstream *signalling.Message) *signalling.Message {
+// grant completes a granted hop. It fills in the route entry's
+// in-flight placeholder for cancellation and tunnel use — next and
+// downKey for a forwarded leg (downKey is the route key the leg runs
+// under, which differs from the hop's own key when the ingress
+// re-routed), children for a split — then programs the per-flow edge
+// marker at the source domain, syncs the data plane, and answers with
+// this domain's approval stacked on the approvals, policy info and
+// spans from below (nil at the destination).
+func (b *BB) grant(key string, peer signalling.Peer, verified *core.VerifiedRequest, handle string, next identity.DN, downKey string, children []childRoute, below *signalling.ResultPayload) *signalling.Message {
 	spec := verified.Spec
-	fromUser := len(verified.Path) == 1
-	// Tunnel registration happens before the grant is recorded: a RAR
-	// id colliding with a live tunnel must surface as a denial (with the
-	// admission rolled back and the downstream chain cancelled), not
-	// silently shadow the existing endpoint.
-	if fromUser && spec.Tunnel {
-		if err := b.registerTunnelSource(spec, downstream.Result); err != nil {
-			b.rollback(r.Handle, spec.RARID, "tunnel registration failed")
-			b.cancelDownstream(next, downKey)
-			return b.deny(spec.RARID, fmt.Sprintf("%s: tunnel registration: %v", b.cfg.Domain, err))
-		}
-	}
-	b.recordRoute(key, spec, r.Handle, next, downKey, nil, peer)
-	if fromUser {
-		// Source domain: program the per-flow edge marker.
-		b.installEdgeFlow(spec)
-	}
-	b.syncDataPlane()
-	resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{
-		Granted:    true,
-		Handle:     r.Handle,
-		Approvals:  downstream.Result.Approvals,
-		PolicyInfo: downstream.Result.PolicyInfo,
-		Trace:      downstream.Result.Trace,
-	}}
-	if a, err := b.signApproval(spec.RARID, r.Handle, true, ""); err == nil {
-		resp.Result.Approvals = append(resp.Result.Approvals, a)
-	}
-	return resp
-}
-
-// finishGrant completes a grant at the destination domain (or a
-// local-mode reservation).
-func (b *BB) finishGrant(key string, peer signalling.Peer, verified *core.VerifiedRequest, r *resv.Reservation, fromUser, isDest bool) *signalling.Message {
-	spec := verified.Spec
-	if isDest && spec.Tunnel {
-		// Register before granting: a duplicate tunnel RAR id is a
-		// denial, not a silent shadow of the live endpoint.
-		if err := b.registerTunnelDest(verified, peer); err != nil {
-			b.rollback(r.Handle, spec.RARID, "tunnel registration failed")
-			return b.deny(spec.RARID, fmt.Sprintf("%s: tunnel registration: %v", b.cfg.Domain, err))
-		}
-	}
-	b.recordRoute(key, spec, r.Handle, "", "", nil, peer)
-	if fromUser {
-		b.installEdgeFlow(spec)
-	}
-	b.syncDataPlane()
-	resp := signalling.OKResult(r.Handle)
-	if a, err := b.signApproval(spec.RARID, r.Handle, true, ""); err == nil {
-		resp.Result.Approvals = []signalling.DomainApproval{a}
-	}
-	return resp
-}
-
-// recordRoute fills in the route entry's in-flight placeholder for
-// cancellation and tunnel use. The entry itself was registered under
-// its route key when the reserve arrived, so retransmissions and
-// cancels can find it.
-func (b *BB) recordRoute(key string, spec *core.Spec, handle string, next identity.DN, downKey string, children []childRoute, peer signalling.Peer) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	st, ok := b.routes[key]
-	if !ok {
-		return
+	if st, ok := b.routes[key]; ok {
+		st.handle = handle
+		st.next = next
+		st.downKey = downKey
+		st.children = children
+		st.tunnel = spec.Tunnel
+		st.sourceBB = peer.DN
+		st.spec = spec
 	}
-	st.handle = handle
-	st.next = next
-	st.tunnel = spec.Tunnel
-	st.sourceBB = peer.DN
-	st.spec = spec
-	st.downKey = downKey
-	st.children = children
+	b.mu.Unlock()
+	if len(verified.Path) == 1 {
+		b.installEdgeFlow(spec)
+	}
+	b.syncDataPlane()
+	resp := signalling.OKResult(handle)
+	if below != nil {
+		resp.Result.Approvals = below.Approvals
+		resp.Result.PolicyInfo = below.PolicyInfo
+		resp.Result.Trace = below.Trace
+	}
+	if a, err := b.signApproval(spec.RARID, handle, true, ""); err == nil {
+		resp.Result.Approvals = append(resp.Result.Approvals, a)
+	}
+	return resp
 }
 
 // validateLinkedHandles checks the co-reservation references against
@@ -1037,24 +930,20 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 	// A split ingress fans out to every child leg under that leg's own
 	// route key; a re-routed ingress propagates the key the surviving
 	// attempt ran under (downKey), not its own.
-	for _, c := range st.children {
-		if _, _, err := b.callPeer(c.Next, &signalling.Message{
-			Type:   signalling.MsgCancel,
-			Cancel: &signalling.CancelPayload{RARID: c.Key},
-		}); err != nil {
-			b.cancelDownstream(c.Next, c.Key)
-		}
-	}
-	if len(st.children) == 0 && st.next != "" {
+	legs := st.children
+	if len(legs) == 0 && st.next != "" {
 		downKey := st.downKey
 		if downKey == "" {
 			downKey = payload.RARID
 		}
-		if _, _, err := b.callPeer(st.next, &signalling.Message{
+		legs = []childRoute{{Next: st.next, Key: downKey}}
+	}
+	for _, c := range legs {
+		if _, _, err := b.callPeer(c.Next, &signalling.Message{
 			Type:   signalling.MsgCancel,
-			Cancel: &signalling.CancelPayload{RARID: downKey},
+			Cancel: &signalling.CancelPayload{RARID: c.Key},
 		}); err != nil {
-			b.cancelDownstream(st.next, downKey)
+			b.cancelDownstream(cancelComp{Peer: c.Next, Key: c.Key})
 		}
 	}
 	b.log.Info("cancel: released reservation",
@@ -1305,17 +1194,13 @@ func (b *BB) AllocateTunnelFlow(tunnelRARID, subFlowID string, bw units.Bandwidt
 		},
 	})
 	if err != nil {
-		// Roll back the local half; the destination may or may not
-		// have allocated, so best-effort release there too.
+		// Roll back the local half. Unless the frame never left, the
+		// destination may have allocated: the saga layer releases it
+		// there, retried and journaled like a reserve's cancel.
 		b.localRelease(ep, subFlowID)
-		go func() {
-			if client, cerr := b.clientFor(ep.PeerBB); cerr == nil {
-				_, _ = client.CallTimeout(&signalling.Message{
-					Type:          signalling.MsgTunnelRelease,
-					TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: tunnelRARID, SubFlowID: subFlowID},
-				}, b.cfg.CallTimeout)
-			}
-		}()
+		if !errors.Is(err, errCircuitOpen) {
+			b.cancelDownstream(cancelComp{Peer: ep.PeerBB, Key: tunnelRARID, SubFlow: subFlowID})
+		}
 		return fmt.Errorf("bb %s: tunnel alloc at destination: %w", b.cfg.Domain, err)
 	}
 	if resp.Result == nil || !resp.Result.Granted {

@@ -327,16 +327,19 @@ func TestSplitAbortsAtomicallyOnPartialDenial(t *testing.T) {
 	}
 }
 
-// splitGateDialer wraps Domain0's outbound dialer for the crash test:
-// connections to the gated address pass their first Send through (the
+// splitGateDialer wraps Domain0's outbound dialer for the crash tests:
+// the first Send numbered at (the second by default) on a connection to
+// the gated address blocks until the gate opens, then fails; every
+// other Send passes. At the default that is the split child after the
 // full-bandwidth single-path attempt, which the capacity-constrained
-// branch denies) and block the second Send — the split child — until
-// the gate opens, then fail it. That parks the split mid-saga, after
-// the sibling leg was granted and every compensation journaled, with
-// the commit/abort record still unwritten.
+// branch denies: it parks the split mid-saga, after the sibling leg
+// was granted and every compensation journaled, with the commit/abort
+// record still unwritten. A gate closed up front fails the Send at
+// once.
 type splitGateDialer struct {
 	inner  transport.Dialer
 	target string
+	at     int64         // which Send on the connection is gated (0: the second)
 	hit    chan struct{} // closed when a Send blocks on the gate
 	gate   chan struct{} // close to release the blocked Send
 	once   atomic.Bool
@@ -357,7 +360,11 @@ type splitGateConn struct {
 }
 
 func (c *splitGateConn) Send(msg []byte) error {
-	if c.sends.Add(1) == 2 && c.d.once.CompareAndSwap(false, true) {
+	at := c.d.at
+	if at == 0 {
+		at = 2
+	}
+	if c.sends.Add(1) == at && c.d.once.CompareAndSwap(false, true) {
 		close(c.d.hit)
 		<-c.d.gate
 		return fmt.Errorf("splitgate: link to %s severed", c.d.target)

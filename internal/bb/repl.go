@@ -660,12 +660,13 @@ func (r *replicator) installSnapshot(data []byte, seq int64) error {
 	}
 	b.tunnels.reg.ResetTo(eps)
 	b.tunnels.resetBatches(st.TunnelBatches)
-	if len(st.Sagas) > 0 {
-		// The leader's open rollback debt rides its snapshot; a follower
-		// holds it passively until promotion resumes the compensations.
-		if err := b.sagas.Restore(st.Sagas); err != nil {
-			b.log.Error("replication: saga snapshot restore failed", "err", err)
-		}
+	// The leader's open rollback debt rides its snapshot and replaces
+	// the follower's, even when empty: a saga the follower mirrored
+	// live may have closed in the part of the stream the snapshot
+	// supersedes. A follower holds the debt passively until promotion
+	// resumes the compensations.
+	if err := b.sagas.Restore(st.Sagas); err != nil {
+		b.log.Error("replication: saga snapshot restore failed", "err", err)
 	}
 	// Stream-side scratch state is superseded wholesale.
 	r.pendingOps = make(map[string][]tunnelOpRecord)

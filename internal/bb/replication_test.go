@@ -17,19 +17,22 @@ import (
 
 // waitReplicated blocks until every live follower of domain has
 // applied (and re-journaled) everything the current leader holds.
-// Quiesce only — callers stop mutating first.
+// Sequence numbers only compare within one leader's journal, so a
+// follower counts as caught up only once it follows the current leader
+// at its term. Quiesce only — callers stop mutating first.
 func waitReplicated(t *testing.T, w *experiment.World, domain string, live []int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		leader := w.LeaderOf(domain)
-		target := w.ReplicaBB(domain, leader).ReplicationStatus().JournalSeq
+		lst := w.ReplicaBB(domain, leader).ReplicationStatus()
 		caught := true
 		for _, i := range live {
 			if i == leader {
 				continue
 			}
-			if w.ReplicaBB(domain, i).ReplicationStatus().AppliedSeq < target {
+			st := w.ReplicaBB(domain, i).ReplicationStatus()
+			if st.Term != lst.Term || st.LeaderID != leader || st.AppliedSeq < lst.JournalSeq {
 				caught = false
 				break
 			}
@@ -41,7 +44,7 @@ func waitReplicated(t *testing.T, w *experiment.World, domain string, live []int
 			for _, i := range live {
 				t.Logf("replica %d: %+v", i, w.ReplicaBB(domain, i).ReplicationStatus())
 			}
-			t.Fatalf("%s: followers never caught up to leader seq %d", domain, target)
+			t.Fatalf("%s: followers never caught up to leader %d at term %d, seq %d", domain, leader, lst.Term, lst.JournalSeq)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -1,6 +1,7 @@
 package bb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -28,6 +29,10 @@ type breaker struct {
 	failures  int
 	openUntil time.Time
 }
+
+// errCircuitOpen marks the open breaker's fail-fast refusal: no frame
+// left this broker, so the peer holds nothing to cancel.
+var errCircuitOpen = errors.New("circuit open")
 
 func (br *breaker) open(now time.Time) (time.Duration, bool) {
 	if br.threshold <= 0 {
@@ -126,7 +131,7 @@ func (b *BB) dropClient(dn identity.DN, c *signalling.Client) {
 func (b *BB) callPeer(dn identity.DN, msg *signalling.Message) (*signalling.Message, int, error) {
 	br := b.breakerFor(dn)
 	if wait, isOpen := br.open(b.cfg.Clock()); isOpen {
-		return nil, 0, fmt.Errorf("bb %s: circuit to %s open for another %v", b.cfg.Domain, dn, wait.Round(time.Millisecond))
+		return nil, 0, fmt.Errorf("bb %s: %w to %s for another %v", b.cfg.Domain, errCircuitOpen, dn, wait.Round(time.Millisecond))
 	}
 	backoff := b.cfg.RetryBackoff
 	if backoff <= 0 {
@@ -172,10 +177,3 @@ func (b *BB) noteFailure(br *breaker, dn identity.DN) {
 			obs.AttrPeer, string(dn), "cooldown", br.cooldown)
 	}
 }
-
-// The downstream rollback cancel — formerly an ad-hoc goroutine here —
-// now lives in the saga layer: see cancelDownstream in sagas.go. The
-// compensation is journaled, so it survives a crash instead of dying
-// with the process, and an exhausted retry budget is counted
-// (bb_rollbacks_abandoned_total) and force-recorded instead of only
-// logged.

@@ -2,6 +2,7 @@ package bb
 
 import (
 	"fmt"
+	"slices"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/obs"
@@ -10,18 +11,19 @@ import (
 )
 
 // Saga integration: the broker's two compensation kinds, wired into
-// the reusable coordinator in internal/saga. "cancel" undoes a
-// downstream forward whose outcome is unknown or must be withdrawn
-// (the persistent replacement for the old ad-hoc cancelDownstream
-// goroutine); "release" undoes an optimistic local admission. Both are
-// journal-backed through the broker's WAL, so a crashed broker resumes
-// its rollback debt on recovery.
+// the reusable coordinator in internal/saga. "cancel" withdraws state
+// this broker created at a peer — a forwarded route key, or a tunnel
+// sub-flow; "release" undoes a local admission. Both are journal-backed
+// through the broker's WAL, so a crashed broker resumes its rollback
+// debt on recovery.
 
 // cancelComp is the argument of a "cancel" compensation: withdraw the
-// route key at the downstream peer.
+// route key at the peer or, with SubFlow set, release that sub-flow of
+// the tunnel Key names.
 type cancelComp struct {
-	Peer identity.DN
-	Key  string
+	Peer    identity.DN
+	Key     string
+	SubFlow string
 }
 
 // releaseComp is the argument of a "release" compensation: cancel the
@@ -34,9 +36,8 @@ type releaseComp struct {
 // cancelAttempts bounds each compensation incarnation's retries. It is
 // deliberately independent of (and larger than) Config.MaxRetries: a
 // stranded reservation costs real bandwidth until its window expires,
-// whereas a redundant cancel is refused harmlessly — and unlike the
-// pre-saga rollback goroutine, an exhausted budget is now re-armed on
-// restart because the debt is journaled.
+// whereas a redundant cancel is refused harmlessly — and an exhausted
+// budget is re-armed on restart because the debt is journaled.
 const cancelAttempts = 5
 
 // newSagaCoordinator builds the broker's coordinator with both
@@ -57,10 +58,10 @@ func (b *BB) newSagaCoordinator() *saga.Coordinator {
 	return c
 }
 
-// execCancelComp sends one cancel toward the peer. Transport failures
-// schedule a retry; any protocol-level response — including a refusal
-// for a key the peer never saw — counts as settled, exactly like the
-// old best-effort rollback cancel.
+// execCancelComp sends one cancel (or sub-flow release) toward the
+// peer. Transport failures schedule a retry; any protocol-level
+// response — including a refusal for a key the peer never saw — counts
+// as settled.
 func (b *BB) execCancelComp(data []byte) error {
 	var c cancelComp
 	if err := c.DecodeBinary(data); err != nil {
@@ -70,10 +71,14 @@ func (b *BB) execCancelComp(data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = client.CallTimeout(&signalling.Message{
-		Type:   signalling.MsgCancel,
-		Cancel: &signalling.CancelPayload{RARID: c.Key},
-	}, b.cfg.CallTimeout)
+	msg := &signalling.Message{Type: signalling.MsgCancel, Cancel: &signalling.CancelPayload{RARID: c.Key}}
+	if c.SubFlow != "" {
+		msg = &signalling.Message{
+			Type:          signalling.MsgTunnelRelease,
+			TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: c.Key, SubFlowID: c.SubFlow},
+		}
+	}
+	_, err = client.CallTimeout(msg, b.cfg.CallTimeout)
 	if err != nil {
 		b.dropClient(c.Peer, client)
 		return err
@@ -140,14 +145,95 @@ func (b *BB) mintSagaID(prefix string) string {
 	return fmt.Sprintf("%s#%d", prefix, e)
 }
 
-// cancelDownstream hands a downstream withdrawal to the saga layer: a
+// cancelDownstream hands a withdrawal at a peer to the saga layer: a
 // one-step saga whose "cancel" compensation is retried with backoff
-// and, being journaled, survives a crash (the pre-saga version was a
-// fire-and-forget goroutine that died with the process).
-func (b *BB) cancelDownstream(dn identity.DN, key string) {
-	id := b.mintSagaID("cancel:" + key)
+// and, being journaled, survives a crash.
+func (b *BB) cancelDownstream(c cancelComp) {
+	id := b.mintSagaID("cancel:" + c.Key)
 	b.m.sagasStarted.Inc()
-	if err := b.sagas.RunOne(id, "cancel", cancelComp{Peer: dn, Key: key}.AppendBinary(nil)); err != nil {
-		b.log.Error("saga: rollback cancel not scheduled", obs.AttrRAR, key, "err", err)
+	if err := b.sagas.RunOne(id, "cancel", c.AppendBinary(nil)); err != nil {
+		b.log.Error("saga: rollback cancel not scheduled", obs.AttrRAR, c.Key, "err", err)
 	}
+}
+
+// hopSaga is one forwarding hop's rollback debt, opened right after the
+// hop admits and before its first send: step 1 releases the admission,
+// and every child frame adds a cancel before it leaves. The walker
+// settles what the hop below already undid (a denial) or what never
+// reached it (an open circuit), so Abort pays only what is still owed.
+type hopSaga struct {
+	b     *BB
+	id    string
+	rel   []byte // the release step's argument
+	steps int    // steps registered; the coordinator numbers them from 1
+	lost  []int  // children whose frame left but whose outcome is unknown
+}
+
+// openHopSaga journals the saga and its release step. The saga is
+// named after the hop's route entry, whose epoch is already unique, so
+// opening one consumes no epoch and replicas stay identical.
+func (b *BB) openHopSaga(key, handle string) *hopSaga {
+	var epoch int64
+	b.mu.Lock()
+	if st := b.routes[key]; st != nil {
+		epoch = st.epoch
+	}
+	b.mu.Unlock()
+	s := &hopSaga{
+		b:     b,
+		id:    fmt.Sprintf("fwd:%s#%d", key, epoch),
+		rel:   releaseComp{Handle: handle, Key: key}.AppendBinary(nil),
+		steps: 1,
+	}
+	for b.sagas.Begin(s.id) != nil {
+		// Only a saga resumed from the journal can hold the id (its
+		// route entry was in flight, so the epoch was never journaled).
+		s.id = b.mintSagaID("fwd:" + key)
+	}
+	b.m.sagasStarted.Inc()
+	_ = b.sagas.Did(s.id, "release", s.rel)
+	return s
+}
+
+// owe registers the cancel for a child about to be sent to peer and
+// returns its step number.
+func (s *hopSaga) owe(peer identity.DN, childKey string) int {
+	_ = s.b.sagas.Did(s.id, "cancel", cancelComp{Peer: peer, Key: childKey}.AppendBinary(nil))
+	s.steps++
+	return s.steps
+}
+
+// settle drops a step from the debt: the child was refused below (that
+// hop rolled itself back) or never sent.
+func (s *hopSaga) settle(step int) { s.b.sagas.Settle(s.id, step) }
+
+// lose marks a child whose frame left but whose outcome is unknown: its
+// cancel stays owed whatever the walk decides.
+func (s *hopSaga) lose(step int) { s.lost = append(s.lost, step) }
+
+// commit keeps the admission and every granted child. With no child
+// lost that is a plain commit; otherwise every other step is settled
+// and the abort pays the lost children's cancels.
+func (s *hopSaga) commit() {
+	if len(s.lost) == 0 {
+		s.b.sagas.Commit(s.id)
+		s.b.m.sagasCommitted.Inc()
+		return
+	}
+	for step := 1; step <= s.steps; step++ {
+		if !slices.Contains(s.lost, step) {
+			s.settle(step)
+		}
+	}
+	s.b.sagas.Abort(s.id)
+}
+
+// fail undoes the hop: the release runs inline — the admission must be
+// gone before the hop answers upstream — and the abort pays the cancels
+// still owed, for granted and lost children alike, in the background.
+func (s *hopSaga) fail() {
+	_ = s.b.execReleaseComp(s.rel)
+	s.b.m.sagaCompensations.Inc()
+	s.settle(1)
+	s.b.sagas.Abort(s.id)
 }

@@ -2,12 +2,14 @@ package bb_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/signalling"
+	"e2eqos/internal/transport"
 	"e2eqos/internal/tunnel"
 	"e2eqos/internal/units"
 )
@@ -191,5 +193,93 @@ func TestDuplicateTunnelRegistrationDenied(t *testing.T) {
 	got, ok := w.BBs[w.DestDomain()].Tunnel(spec.RARID)
 	if !ok || got.Aggregate != 5*units.Mbps {
 		t.Errorf("original endpoint displaced: ok=%t ep=%+v", ok, got)
+	}
+}
+
+// dropRecvDialer swallows the next N response frames on every
+// connection it dials, so a call whose request arrived still times
+// out at the caller.
+type dropRecvDialer struct {
+	inner transport.Dialer
+	drops atomic.Int32
+}
+
+func (d *dropRecvDialer) Dial(addr string) (transport.Conn, error) {
+	conn, err := d.inner.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &dropRecvConn{Conn: conn, d: d}, nil
+}
+
+type dropRecvConn struct {
+	transport.Conn
+	d *dropRecvDialer
+}
+
+func (c *dropRecvConn) Recv() ([]byte, error) {
+	for {
+		frame, err := c.Conn.Recv()
+		if err != nil || c.d.drops.Add(-1) < 0 {
+			return frame, err
+		}
+	}
+}
+
+// TestTunnelFlowLostAllocReleasedBySaga: when the destination applied a
+// sub-flow alloc whose response was lost, the source releases it there
+// through a saga compensation — retried past a lost release response
+// and counted as settled — and both ends end up without the sub-flow.
+func TestTunnelFlowLostAllocReleasedBySaga(t *testing.T) {
+	drop := &dropRecvDialer{}
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains:   2,
+		Capacity:     1000 * units.Mbps,
+		CallTimeout:  100 * time.Millisecond,
+		RetryBackoff: time.Millisecond,
+		EnableObs:    true,
+		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
+			if domain != "Domain0" {
+				return d
+			}
+			drop.inner = d
+			return drop
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 100 * units.Mbps, Tunnel: true})
+	if res, err := u.ReserveE2E(spec); err != nil || !res.Granted {
+		t.Fatalf("tunnel establishment: res=%+v err=%v", res, err)
+	}
+	src, dest := w.SourceDomain(), w.DestDomain()
+
+	// Lose the alloc's response and the first release's response.
+	drop.drops.Store(2)
+	if err := w.BBs[src].AllocateTunnelFlow(spec.RARID, "f1", 10*units.Mbps, u.DN()); err == nil {
+		t.Fatal("alloc with a lost response reported success")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for metric(w, src, "bb_saga_compensations_total") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("remote sub-flow release never settled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, d := range []string{src, dest} {
+		ep, _ := w.BBs[d].Tunnel(spec.RARID)
+		if _, ok := ep.Lookup("f1"); ok {
+			t.Errorf("%s still holds the sub-flow of a failed alloc", d)
+		}
+	}
+	if n := metric(w, src, "bb_rollbacks_abandoned_total"); n != 0 {
+		t.Errorf("bb_rollbacks_abandoned_total = %v, want 0", n)
 	}
 }

@@ -25,13 +25,17 @@ import (
 //
 // Out-of-range observations are clamped into [Min, Max] — both for
 // bucketing and for the running sum, so a stray +Inf cannot poison
-// _sum. NaN observations are dropped.
+// _sum. NaN observations are dropped. The sum is kept in integer
+// quanta of Min/16, so it is exact and independent of how observations
+// spread across stripes (at the default range a quantum is 2^-28 s, and
+// the sum holds 2^36 s of observations before it wraps).
 type QHist struct {
 	name    string
 	help    string
 	minVal  float64 // lowest bucket boundary, a power of two
 	maxVal  float64 // upper range bound, a power of two
 	base    int     // (minExp+1023)<<subBucketBits, subtracted from the biased index
+	quantum float64 // the sum's unit: minVal/16, a power of two
 	n       int     // total bucket count: octaves * subBuckets
 	stripes []*qstripe
 	pool    sync.Pool
@@ -52,10 +56,10 @@ const (
 // qstripe is one observer lane. The hot fields lead and the struct is
 // its own allocation, so stripes don't share cache lines.
 type qstripe struct {
-	count   uint64
-	sumBits uint64
-	_       [6]uint64 // keep count/sumBits off neighbouring allocations' lines
-	counts  []uint64
+	count  uint64
+	sum    uint64    // in quanta
+	_      [6]uint64 // keep count/sum off neighbouring allocations' lines
+	counts []uint64
 }
 
 // NewQHist builds a detached histogram covering [min, max); both
@@ -77,12 +81,13 @@ func NewQHist(name, help string, min, max float64) *QHist {
 		maxExp = minExp + 1
 	}
 	h := &QHist{
-		name:   name,
-		help:   help,
-		minVal: math.Ldexp(1, minExp),
-		maxVal: math.Ldexp(1, maxExp),
-		base:   (minExp + 1023) << subBucketBits,
-		n:      (maxExp - minExp) * subBuckets,
+		name:    name,
+		help:    help,
+		minVal:  math.Ldexp(1, minExp),
+		maxVal:  math.Ldexp(1, maxExp),
+		base:    (minExp + 1023) << subBucketBits,
+		quantum: math.Ldexp(1, minExp-4),
+		n:       (maxExp - minExp) * subBuckets,
 	}
 	ns := runtime.GOMAXPROCS(0)
 	if ns > 16 {
@@ -137,13 +142,7 @@ func (h *QHist) Observe(v float64) {
 	sp := h.pool.Get().(*qstripe)
 	atomic.AddUint64(&sp.counts[h.bucketIndex(v)], 1)
 	atomic.AddUint64(&sp.count, 1)
-	for {
-		old := atomic.LoadUint64(&sp.sumBits)
-		upd := math.Float64bits(math.Float64frombits(old) + cv)
-		if atomic.CompareAndSwapUint64(&sp.sumBits, old, upd) {
-			break
-		}
-	}
+	atomic.AddUint64(&sp.sum, uint64(cv/h.quantum+0.5))
 	h.pool.Put(sp)
 }
 
@@ -165,9 +164,8 @@ func (h *QHist) merged() (counts []uint64, count uint64, sum float64) {
 			counts[i] += atomic.LoadUint64(&sp.counts[i])
 		}
 		count += atomic.LoadUint64(&sp.count)
-		sum += math.Float64frombits(atomic.LoadUint64(&sp.sumBits))
 	}
-	return counts, count, sum
+	return counts, count, h.Sum()
 }
 
 // bound returns the lower boundary of bucket i (bound(n) == maxVal).
@@ -233,11 +231,11 @@ func (h *QHist) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	var sum float64
+	var sum uint64
 	for _, sp := range h.stripes {
-		sum += math.Float64frombits(atomic.LoadUint64(&sp.sumBits))
+		sum += atomic.LoadUint64(&sp.sum)
 	}
-	return sum
+	return float64(sum) * h.quantum
 }
 
 // QuantileSnapshot is one histogram's percentile report, the shape

@@ -225,8 +225,7 @@ func (m *mutexHist) Observe(v float64) {
 	m.mu.Lock()
 	m.h.stripes[0].counts[m.h.bucketIndex(v)]++
 	m.h.stripes[0].count++
-	sum := math.Float64frombits(m.h.stripes[0].sumBits) + v
-	m.h.stripes[0].sumBits = math.Float64bits(sum)
+	m.h.stripes[0].sum += uint64(v/m.h.quantum + 0.5)
 	m.mu.Unlock()
 }
 

@@ -6,9 +6,9 @@
 // transition appends a record through the caller's write-ahead log, so
 // a crashed coordinator resumes its unfinished rollbacks on recovery
 // (presumed abort: a saga that never committed is aborted and
-// compensated). The bandwidth broker drives it for multi-path split
-// reservations and for the downstream-cancel rollbacks that used to be
-// an ad-hoc goroutine in internal/bb/robust.go.
+// compensated). The bandwidth broker opens one saga per forwarding hop
+// (the release of its own admission plus a cancel per child it sends)
+// and a one-step saga per cancel it must still deliver downstream.
 package saga
 
 import (
@@ -198,6 +198,8 @@ func (c *Coordinator) Begin(id string) error {
 // completed (or is about to attempt with an unknowable outcome — the
 // compensation must then be idempotent). Journaled before it returns,
 // so a crash after the forward action still finds the debt on replay.
+// Steps are numbered from 1 in registration order; Settle takes that
+// number.
 func (c *Coordinator) Did(id, kind string, data []byte) error {
 	c.mu.Lock()
 	s, ok := c.sagas[id]
@@ -211,6 +213,28 @@ func (c *Coordinator) Did(id, kind string, data []byte) error {
 	c.mu.Unlock()
 	c.append(OpStep, stepRec{ID: id, Step: st})
 	return nil
+}
+
+// Settle marks one step's compensation as no longer owed without
+// running it — the forward path paid or voided that debt itself (the
+// caller ran it inline, or the step's action never took effect). It
+// reuses the OpComp record, so recovery and Abort skip the step. A
+// step already settled, or a saga not live, is left alone.
+func (c *Coordinator) Settle(id string, stepID int) {
+	c.mu.Lock()
+	found := false
+	if s, ok := c.sagas[id]; ok {
+		for i := range s.steps {
+			if s.steps[i].ID == stepID && !s.steps[i].Done {
+				s.steps[i].Done = true
+				found = true
+			}
+		}
+	}
+	c.mu.Unlock()
+	if found {
+		c.append(OpComp, markRec{ID: id, StepID: stepID})
+	}
 }
 
 // Commit closes a saga whose forward path fully succeeded: the
@@ -243,7 +267,7 @@ func (c *Coordinator) Abort(id string) {
 }
 
 // RunOne is the fire-and-forget form: a single compensation that must
-// eventually execute (the broker's downstream rollback cancel). It is
+// eventually execute (a cancel the broker still owes a peer). It is
 // a one-step saga born aborting.
 func (c *Coordinator) RunOne(id, kind string, data []byte) error {
 	if err := c.Begin(id); err != nil {

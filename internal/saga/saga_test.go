@@ -131,6 +131,58 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 	})
 }
 
+// TestSettleSkipsPaidStep: a step the forward path settled itself is
+// journaled as done and never runs — not on Abort, and not on a
+// presumed abort after a crash — while the rest still compensate.
+func TestSettleSkipsPaidStep(t *testing.T) {
+	j := &fakeJournal{}
+	c := New(Options{Journal: j})
+	defer c.Close()
+	var mu sync.Mutex
+	var ran []string
+	undo := func(data []byte) error {
+		mu.Lock()
+		ran = append(ran, string(data))
+		mu.Unlock()
+		return nil
+	}
+	c.RegisterExec("undo", undo)
+	if err := c.Begin("s1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"paid", "owed", "voided"} {
+		if err := c.Did("s1", "undo", []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Settle("s1", 1)
+	c.Settle("s1", 3)
+	c.Settle("s1", 3) // already settled: no second record
+	c.Settle("nope", 1)
+
+	// A second incarnation replaying this journal owes only "owed".
+	c2 := New(Options{})
+	defer c2.Close()
+	c2.RegisterExec("undo", undo)
+	if err := j.replayInto(c2); err != nil {
+		t.Fatal(err)
+	}
+	c2.AttachJournal(&fakeJournal{})
+
+	c.Abort("s1")
+	waitFor(t, "saga to close", func() bool { return c.Live() == 0 })
+	c2.Resume()
+	waitFor(t, "resumed saga to close", func() bool { return c2.Live() == 0 })
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(ran, []string{"owed", "owed"}) {
+		t.Fatalf("compensations ran %v, want only the owed step, once per incarnation", ran)
+	}
+	assertOps(t, j.opList(), []string{
+		OpBegin, OpStep, OpStep, OpStep, OpComp, OpComp, OpAbort, OpComp, OpDone,
+	})
+}
+
 // TestRetryWithBackoff: a failing compensation retries and eventually
 // settles within the attempt budget.
 func TestRetryWithBackoff(t *testing.T) {
